@@ -7,6 +7,11 @@ several conventions: separator swapped between hyphen/space/nothing, and the
 number written on the other side of the word ("210-polonium"). Names are also
 pluralized with plain English rules. The index maps every generated surface
 back to one identifier, resolving cross-entry collisions deterministically.
+
+The saved index (format version 2) is UTF-8 JSON Lines: a header object with
+the format marker, version, dump checksum and build counts, then one array per
+identifier in ChEBI numeric order, `[chebi_id, preferred_name, [surfaces]]`,
+its surfaces sorted. The file is replaced atomically on save.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import io
 import itertools
 import json
 import logging
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from typing import Iterable, Iterator, TextIO
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 CHEBI_ID_RE = re.compile(r"^CHEBI:\d+$")
 
@@ -49,7 +55,7 @@ class LexiconSourceError(Exception):
 
 
 class IndexFormatError(Exception):
-    """A serialized index artifact has the wrong format marker or version."""
+    """An index artifact is malformed, truncated, or of another format or version."""
 
 
 def is_chebi_id(value: str) -> bool:
@@ -87,12 +93,6 @@ def default_stoplist() -> frozenset[str]:
 
     text = files("hazardex").joinpath("data/stoplist.txt").read_text(encoding="utf-8")
     return load_stoplist(io.StringIO(text))
-
-
-def apply_stoplist(names: Iterable[str], stoplist: frozenset[str]) -> Iterator[str]:
-    for name in names:
-        if normalize(name) not in stoplist:
-            yield name
 
 
 def _atoms(name: str) -> list[tuple[str, str]]:
@@ -274,16 +274,6 @@ def _skip_row(path: Path, lineno: int, why: str, stats: ParseStats | None) -> No
         stats.skipped += 1
 
 
-@dataclass
-class LexiconEntry:
-    """One chemical with every surface form generated from its dump rows."""
-
-    chebi_id: str
-    preferred_name: str
-    surface_forms: set[str]
-    primary_surfaces: set[str]
-
-
 @dataclass(frozen=True)
 class IndexStats:
     entry_count: int
@@ -315,14 +305,6 @@ class LexiconIndex:
         self.stats = stats
         self.source_checksum = source_checksum
 
-    @property
-    def surface_to_id(self) -> dict[str, str]:
-        return self._surface_to_id
-
-    @property
-    def id_to_name(self) -> dict[str, str]:
-        return self._id_to_name
-
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
         # the fallback pays the normalization cost only when needed.
@@ -335,6 +317,7 @@ class LexiconIndex:
         return self._id_to_name.get(chebi_id, chebi_id)
 
     def save(self, path: str | Path) -> None:
+        """Write the artifact to a temp file beside `path`, then rename it over."""
         path = Path(path)
         header = {
             "format": INDEX_FORMAT,
@@ -342,47 +325,59 @@ class LexiconIndex:
             "source_sha256": self.source_checksum,
             **self.stats.as_dict(),
         }
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
-            for chebi_id in sorted(self._id_to_name, key=chebi_numeric):
-                row = {"id": chebi_id, "name": self._id_to_name[chebi_id]}
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-            for surface in sorted(self._surface_to_id):
-                row = {"surface": surface, "id": self._surface_to_id[surface]}
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        by_id: dict[str, list[str]] = {chebi_id: [] for chebi_id in self._id_to_name}
+        for surface, chebi_id in self._surface_to_id.items():
+            by_id[chebi_id].append(surface)
+        encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
+                for chebi_id in sorted(by_id, key=chebi_numeric):
+                    surfaces = sorted(by_id.pop(chebi_id))
+                    fh.write(encode([chebi_id, self._id_to_name[chebi_id], surfaces]) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "LexiconIndex":
         path = Path(path)
+        rebuild = "delete it and rerun build-lexicon"
         surface_to_id: dict[str, str] = {}
         id_to_name: dict[str, str] = {}
         with path.open("r", encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"{path}: not an index artifact") from exc
-            if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
+                found = (header.get("format"), header.get("version"))
+            except (ValueError, AttributeError) as exc:
+                raise IndexFormatError(f"{path}: not an index artifact; {rebuild}") from exc
+            if found != (INDEX_FORMAT, INDEX_VERSION):
                 raise IndexFormatError(
                     f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
-                    f"got {header.get('format')!r} v{header.get('version')!r}"
+                    f"got {found[0]!r} v{found[1]!r}; {rebuild}"
                 )
-            for line in fh:
-                row = json.loads(line)
-                if "surface" in row:
-                    surface_to_id[row["surface"]] = row["id"]
-                else:
-                    id_to_name[row["id"]] = row["name"]
+            try:
+                for line in fh:
+                    chebi_id, name, surfaces = json.loads(line)
+                    id_to_name[chebi_id] = name
+                    surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
+            except (ValueError, TypeError) as exc:
+                line_no = len(id_to_name) + 2
+                raise IndexFormatError(f"{path}: bad row on line {line_no}; {rebuild}") from exc
+        declared = (header.get("entry_count"), header.get("surface_count"))
+        if declared != (len(id_to_name), len(surface_to_id)):
+            raise IndexFormatError(
+                f"{path}: header declares {declared[0]} ids and {declared[1]} surfaces, "
+                f"body has {len(id_to_name)} and {len(surface_to_id)}; {rebuild}"
+            )
         stats = IndexStats(
-            entry_count=header.get("entry_count", len(id_to_name)),
-            surface_count=header.get("surface_count", len(surface_to_id)),
+            entry_count=len(id_to_name),
+            surface_count=len(surface_to_id),
             collisions=header.get("collisions", 0),
             skipped_rows=header.get("skipped_rows", 0),
         )
         return cls(surface_to_id, id_to_name, stats, header.get("source_sha256", ""))
-
-
-def lookup(index: LexiconIndex, surface: str) -> str | None:
-    return index.lookup(surface)
 
 
 def build_index(

@@ -43,6 +43,7 @@ from .evaluation import (
     write_grid_csv,
 )
 from .lexicon import (
+    INDEX_VERSION,
     LexiconIndex,
     ParseStats,
     build_index,
@@ -346,7 +347,11 @@ def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
     manifest = area / "build.manifest.json"
     stoplist = load_stoplist(cfg.stoplist_path) if cfg.stoplist_path else default_stoplist()
     checksum = file_sha256(dump)
-    signature = {"dump_sha256": checksum, "stoplist_sha256": _hash_obj(sorted(stoplist))}
+    signature = {
+        "dump_sha256": checksum,
+        "stoplist_sha256": _hash_obj(sorted(stoplist)),
+        "index_version": INDEX_VERSION,
+    }
     previous = _fresh(manifest, signature, [out, report_path])
     if previous is not None:
         log.info("build-lexicon: inputs unchanged, keeping %s", out)

@@ -272,6 +272,35 @@ class TestStageCommands:
         assert "new=1" in result.output
         assert "skipped_existing=9" in result.output
 
+    def test_lexicon_from_an_older_index_version_is_rebuilt(self, workspace, monkeypatch):
+        import hazardex.lexicon
+        import hazardex.pipeline
+
+        version = hazardex.lexicon.INDEX_VERSION
+        monkeypatch.setattr(hazardex.lexicon, "INDEX_VERSION", version - 1)
+        monkeypatch.setattr(hazardex.pipeline, "INDEX_VERSION", version - 1)
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        monkeypatch.undo()
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        header = json.loads(index_path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["version"] == version
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "resolved=8" in result.output
+
+    def test_truncated_index_is_a_configuration_error(self, workspace):
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        blob = index_path.read_bytes()
+        index_path.write_bytes(blob[: len(blob) // 2])
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 2
+        assert "rerun build-lexicon" in result.output
+
     def test_locked_workdir_is_refused(self, workspace):
         workdir = workspace["workdir"]
         (workdir / ".lock").write_text(str(os.getpid()), encoding="utf-8")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import json
 import random
 
 import pytest
@@ -13,11 +14,11 @@ import pytest
 from conftest import CHEBI_ROWS, write_chebi_tsv
 from oracles import oracle_expand, random_digit_name
 from hazardex.lexicon import (
+    INDEX_VERSION,
     IndexFormatError,
     LexiconIndex,
     LexiconSourceError,
     ParseStats,
-    apply_stoplist,
     build_index,
     chebi_numeric,
     default_stoplist,
@@ -25,7 +26,6 @@ from hazardex.lexicon import (
     file_sha256,
     is_chebi_id,
     load_stoplist,
-    lookup,
     normalize,
     parse_chebi_source,
     pluralize,
@@ -180,9 +180,13 @@ class TestStoplist:
         assert load_stoplist(io.StringIO(text)) == frozenset({"solvent", "acid"})
 
     def test_apply_stoplist_matches_normalized_names(self):
-        names = ["Solvent", "cadmium", "VOLTAGE"]
-        kept = list(apply_stoplist(names, default_stoplist()))
-        assert kept == ["cadmium"]
+        rows = [("CHEBI:1", "Solvent", "NAME"), ("CHEBI:2", "cadmium", "NAME"),
+                ("CHEBI:3", "VOLTAGE", "NAME")]
+        idx = build_index(rows, default_stoplist())
+        assert idx.stats.entry_count == 1
+        assert idx.lookup("cadmium") == "CHEBI:2"
+        assert idx.lookup("solvent") is None
+        assert idx.lookup("voltage") is None
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +240,7 @@ class TestBuildIndex:
         assert lexicon_index.lookup("Cd") == "CHEBI:28628"
         assert lexicon_index.lookup("cadmiums") == "CHEBI:28628"
         assert lexicon_index.lookup("hazardous") is None
-        assert lookup(lexicon_index, "CADMIUM") == "CHEBI:28628"
+        assert lexicon_index.lookup("CADMIUM") == "CHEBI:28628"
 
     def test_numeric_variants_are_looked_up(self, lexicon_index):
         assert lexicon_index.lookup("aflatoxin m-1") == "CHEBI:27744"
@@ -302,17 +306,87 @@ class TestIndexPersistence:
         assert blobs[0] == blobs[1]
 
     def test_header_declares_format_and_version(self, lexicon_index, tmp_path):
-        import json
-
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert header["format"] == "hazardex-lexicon"
-        assert header["version"] == 1
+        assert header["version"] == INDEX_VERSION
+
+    def test_body_has_one_row_per_identifier(self, lexicon_index, tmp_path):
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == lexicon_index.stats.entry_count
+        assert sum(len(surfaces) for _, _, surfaces in rows) == lexicon_index.stats.surface_count
+        assert [chebi_numeric(chebi_id) for chebi_id, _, _ in rows] == sorted(
+            chebi_numeric(chebi_id) for chebi_id, _, _ in rows
+        )
+        cadmium = next(row for row in rows if row[0] == "CHEBI:28628")
+        assert cadmium[1] == "cadmium"
+        assert cadmium[2] == sorted(cadmium[2])
+        assert {"cadmium", "cadmiums", "cd"} <= set(cadmium[2])
+
+    def test_round_trip_keeps_unusual_surfaces_and_is_byte_stable(self, tmp_path):
+        idx = small_index([
+            ("CHEBI:7", "β-Carotène", "NAME"),
+            ("CHEBI:12", 'the "quoted" back\\slash', "NAME"),
+            ("CHEBI:30", "ochratoxin", "NAME"),
+            ("CHEBI:5", "ochratoxin", "SYNONYM"),
+            ("CHEBI:5", "patulin", "NAME"),
+        ])
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        idx.save(first)
+        loaded = LexiconIndex.load(first)
+        for surface in ("β-carotène", "β-carotènes", 'the "quoted" back\\slash',
+                        "ochratoxin", "ochratoxins", "patulin"):
+            assert loaded.lookup(surface) == idx.lookup(surface) is not None, surface
+        assert loaded.lookup("ochratoxin") == "CHEBI:30"
+        assert loaded.preferred_name("CHEBI:7") == "β-Carotène"
+        assert loaded.preferred_name("CHEBI:12") == 'the "quoted" back\\slash'
+        assert loaded.stats == idx.stats
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+        assert "β-Carotène".encode("utf-8") in first.read_bytes()
+
+    def test_failed_save_leaves_the_previous_file_intact(self, lexicon_index, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        before = path.read_bytes()
+        encode = json.JSONEncoder.encode
+        calls = []
+
+        def fail_on_third_row(self, obj):
+            calls.append(obj)
+            if len(calls) == 4:  # the header, then two rows, then the failure
+                raise OSError("disk full")
+            return encode(self, obj)
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", fail_on_third_row)
+        replacement = small_index([("CHEBI:1", "patulin", "NAME")] * 2
+                                  + [("CHEBI:2", "benzene", "NAME"), ("CHEBI:3", "lead", "NAME")])
+        with pytest.raises(OSError, match="disk full"):
+            replacement.save(path)
+        assert len(calls) == 4
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
+
+    @pytest.mark.parametrize("cut", ["torn_line", "line_boundary", "garbage_row"])
+    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut):
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        if cut == "torn_line":
+            body = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
+        elif cut == "line_boundary":
+            body = b"".join(lines[:-1])
+        else:
+            body = b"".join(lines[:2] + [b'{"id": "CHEBI:1"}\n'] + lines[2:])
+        path.write_bytes(body)
+        with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
+            LexiconIndex.load(path)
 
     def test_load_rejects_foreign_files(self, tmp_path):
-        import json
-
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"format": "other", "version": 1}) + "\n", encoding="utf-8")
         with pytest.raises(IndexFormatError):

@@ -182,7 +182,3 @@ class EuropePmcClient:
             if page.next_cursor is None or page.next_cursor == cursor:
                 return
             cursor = page.next_cursor
-
-    def fetch_abstracts(self, query: str, start_cursor: str = FIRST_CURSOR) -> Iterator[RawRecord]:
-        for page in self.iter_pages(query, start_cursor):
-            yield from page.records

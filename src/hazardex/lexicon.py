@@ -37,11 +37,17 @@ INDEX_VERSION = 2
 CHEBI_ID_RE = re.compile(r"^CHEBI:\d+$")
 
 _WS_RE = re.compile(r"\s+")
-_ALPHA_TAIL_RE = re.compile(r"[^\W\d_]+$")
 
-# Atom classes for variant generation: letter runs, digit runs, separator runs
-# (space/hyphen only), and anything else passed through opaquely.
-_ATOM_RE = re.compile(r"(?P<alpha>[^\W\d_]+)|(?P<digit>\d+)|(?P<sep>[ \-]+)|(?P<other>.)", re.DOTALL)
+# Variant generation sees letter runs `[^\W\d_]+` and digit runs `\d+`. A slot
+# is a variable separator position between a letter run and a digit run: a
+# lone space or hyphen between them, or the empty gap where the two touch.
+_DIGITS_RE = re.compile(r"\d+")
+_SLOT_RE = re.compile(r"((?<=[^\W\d_])[ \-]?(?=\d)|(?<=\d)[ \-]?(?=[^\W\d_]))")
+# The word beside the digit run, left side preferred, joined by at most a slot.
+# The lookbehind starts a match only at a word's first letter, so a search does
+# not retry (and backtrack) from every letter of every word.
+_WORD_DIGITS_RE = re.compile(r"(?<![^\W\d_])([^\W\d_]+)[ \-]?(\d+)")
+_DIGITS_WORD_RE = re.compile(r"(\d+)[ \-]?([^\W\d_]+)")
 
 _SEPARATOR_CHOICES = ("-", " ", "")
 _SWAP_MAX_TOKENS = 4
@@ -95,76 +101,21 @@ def default_stoplist() -> frozenset[str]:
     return load_stoplist(io.StringIO(text))
 
 
-def _atoms(name: str) -> list[tuple[str, str]]:
-    out = []
-    for m in _ATOM_RE.finditer(name):
-        kind = m.lastgroup or "other"
-        out.append((kind[0].upper(), m.group()))
-    return out
-
-
-def _segments(atoms: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Flatten atoms into ("lit"|"slot", text) runs.
-
-    A slot is a variable separator position: a single space or hyphen between a
-    letter run and a digit run, or the empty gap where the two touch directly.
-    """
-    segs: list[tuple[str, str]] = []
-    for i, (cls, text) in enumerate(atoms):
-        prev_cls = atoms[i - 1][0] if i else None
-        next_cls = atoms[i + 1][0] if i + 1 < len(atoms) else None
-        if cls == "S" and text in ("-", " ") and {prev_cls, next_cls} == {"A", "D"}:
-            segs.append(("slot", text))
-            continue
-        if cls in ("A", "D") and prev_cls in ("A", "D") and prev_cls != cls:
-            segs.append(("slot", ""))
-        segs.append(("lit", text))
-    return segs
-
-
-def _assignments(segs: list[tuple[str, str]], cross_product: bool) -> set[str]:
-    slots = [i for i, (kind, _) in enumerate(segs) if kind == "slot"]
-    base = [text for _, text in segs]
-    out = {"".join(base)}
+def _assignments(name: str, cross_product: bool) -> set[str]:
+    """`name` with its slots refilled: every separator combination, or one slot at a time."""
+    parts = _SLOT_RE.split(name)  # literal text at even indexes, slots at odd ones
     if cross_product:
-        for combo in itertools.product(_SEPARATOR_CHOICES, repeat=len(slots)):
-            parts = list(base)
-            for idx, sep in zip(slots, combo):
-                parts[idx] = sep
+        choices = [(part,) for part in parts]
+        choices[1::2] = [_SEPARATOR_CHOICES] * (len(parts) // 2)
+        return set(map("".join, itertools.product(*choices)))
+    out = {name}
+    for i in range(1, len(parts), 2):
+        original = parts[i]
+        for sep in _SEPARATOR_CHOICES:
+            parts[i] = sep
             out.add("".join(parts))
-    else:
-        for idx in slots:
-            for sep in _SEPARATOR_CHOICES:
-                parts = list(base)
-                parts[idx] = sep
-                out.add("".join(parts))
+        parts[i] = original
     return out
-
-
-def _digit_neighbor(atoms: list[tuple[str, str]], d: int) -> int | None:
-    """Index of the letter run adjacent to the digit atom, left side preferred."""
-    for j in (d - 1, d - 2):
-        if j < 0:
-            continue
-        if j == d - 2 and not (atoms[d - 1][0] == "S" and atoms[d - 1][1] in ("-", " ")):
-            continue
-        if atoms[j][0] == "A":
-            return j
-    for j in (d + 1, d + 2):
-        if j >= len(atoms):
-            continue
-        if j == d + 2 and not (atoms[d + 1][0] == "S" and atoms[d + 1][1] in ("-", " ")):
-            continue
-        if atoms[j][0] == "A":
-            return j
-    return None
-
-
-def _swapped_atoms(atoms: list[tuple[str, str]], d: int, w: int) -> list[tuple[str, str]]:
-    """Move the digit atom to the other side of its word, dropping the connector."""
-    if w < d:
-        return atoms[:w] + [atoms[d], atoms[w]] + atoms[d + 1 :]
-    return atoms[: d] + [atoms[w], atoms[d]] + atoms[w + 1 :]
 
 
 def expand_numeric_variants(name: str) -> set[str]:
@@ -177,18 +128,16 @@ def expand_numeric_variants(name: str) -> set[str]:
     names only get one separator varied at a time. The input is always a
     member of the result.
     """
-    if not any(ch.isdigit() for ch in name):
+    digit_runs = _DIGITS_RE.findall(name)
+    if not digit_runs:
         return {name}
-    atoms = _atoms(name)
-    digit_positions = [i for i, (cls, _) in enumerate(atoms) if cls == "D"]
-    capped = len(digit_positions) == 1 and len(name.split()) <= _SWAP_MAX_TOKENS
-    out = _assignments(_segments(atoms), cross_product=capped)
+    capped = len(digit_runs) == 1 and len(name.split()) <= _SWAP_MAX_TOKENS
+    out = _assignments(name, cross_product=capped)
     if capped:
-        d = digit_positions[0]
-        w = _digit_neighbor(atoms, d)
-        if w is not None:
-            out |= _assignments(_segments(_swapped_atoms(atoms, d, w)), cross_product=True)
-    out.add(name)
+        m = _WORD_DIGITS_RE.search(name) or _DIGITS_WORD_RE.search(name)
+        if m is not None:
+            swapped = name[: m.start()] + m[2] + m[1] + name[m.end() :]
+            out |= _assignments(swapped, cross_product=True)
     return out
 
 
@@ -198,26 +147,29 @@ def pluralize(name: str) -> set[str]:
     No plural is generated when the name ends in a digit or a non-letter, or
     when the trailing alphabetic segment is a single letter ("aflatoxin b").
     """
-    out = {name}
-    if not name or not name[-1].isalpha():
-        return out
-    tail = _ALPHA_TAIL_RE.search(name)
-    if tail is None or len(tail.group()) < 2:
-        return out
-    if any(name.endswith(suffix) for suffix in _ES_SUFFIXES):
-        out.add(name + "es")
-    elif name.endswith("y") and name[-2].isalpha() and name[-2] not in _VOWELS:
-        out.add(name[:-1] + "ies")
-    else:
-        out.add(name + "s")
-    return out
+    plural = _plural(name)
+    return {name} if plural is None else {name, plural}
+
+
+def _plural(name: str) -> str | None:
+    # The trailing letter run (`[^\W\d_]+`: "²" counts, "_" does not) needs two characters.
+    if len(name) < 2 or not name[-1].isalpha() or name[-2].isdecimal() or not name[-2].isalnum():
+        return None
+    if name.endswith(_ES_SUFFIXES):
+        return name + "es"
+    if name[-1] == "y" and name[-2].isalpha() and name[-2] not in _VOWELS:
+        return name[:-1] + "ies"
+    return name + "s"
 
 
 def surfaces_for(name: str) -> set[str]:
     """Full surface set for one dump name: normalize, expand, pluralize."""
-    out: set[str] = set()
-    for variant in expand_numeric_variants(normalize(name)):
-        out |= pluralize(variant)
+    return _surfaces(normalize(name))
+
+
+def _surfaces(normalized: str) -> set[str]:
+    out = expand_numeric_variants(normalized)
+    out.update([plural for variant in out if (plural := _plural(variant)) is not None])
     return out
 
 
@@ -291,7 +243,11 @@ class IndexStats:
 
 
 class LexiconIndex:
-    """Immutable surface → identifier map with per-identifier display names."""
+    """Immutable surface → identifier map with per-identifier display names.
+
+    `surfaces_by_id`, when given, is the same map grouped by identifier, as
+    `save` writes it; `build_index` has it for free, a loaded index does not.
+    """
 
     def __init__(
         self,
@@ -299,11 +255,13 @@ class LexiconIndex:
         id_to_name: dict[str, str],
         stats: IndexStats,
         source_checksum: str = "",
+        surfaces_by_id: dict[str, list[str]] | None = None,
     ):
         self._surface_to_id = surface_to_id
         self._id_to_name = id_to_name
         self.stats = stats
         self.source_checksum = source_checksum
+        self._surfaces_by_id = surfaces_by_id
 
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
@@ -325,16 +283,18 @@ class LexiconIndex:
             "source_sha256": self.source_checksum,
             **self.stats.as_dict(),
         }
-        by_id: dict[str, list[str]] = {chebi_id: [] for chebi_id in self._id_to_name}
-        for surface, chebi_id in self._surface_to_id.items():
-            by_id[chebi_id].append(surface)
+        by_id = self._surfaces_by_id
+        if by_id is None:
+            by_id = {chebi_id: [] for chebi_id in self._id_to_name}
+            for surface, chebi_id in self._surface_to_id.items():
+                by_id[chebi_id].append(surface)
         encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
         tmp = path.with_name(path.name + ".tmp")
         try:
             with tmp.open("w", encoding="utf-8", newline="\n") as fh:
                 fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
                 for chebi_id in sorted(by_id, key=chebi_numeric):
-                    surfaces = sorted(by_id.pop(chebi_id))
+                    surfaces = sorted(by_id[chebi_id])
                     fh.write(encode([chebi_id, self._id_to_name[chebi_id], surfaces]) + "\n")
             os.replace(tmp, path)
         finally:
@@ -343,7 +303,7 @@ class LexiconIndex:
     @classmethod
     def load(cls, path: str | Path) -> "LexiconIndex":
         path = Path(path)
-        rebuild = "delete it and rerun build-lexicon"
+        rebuild = "rerun build-lexicon"
         surface_to_id: dict[str, str] = {}
         id_to_name: dict[str, str] = {}
         with path.open("r", encoding="utf-8") as fh:
@@ -395,45 +355,48 @@ def build_index(
     smaller identifier wins; every collision is counted.
     """
     claims: dict[str, tuple[int, int, str]] = {}
-    preferred: dict[str, str] = {}
-    preferred_rank: dict[str, int] = {}
+    owned: dict[str, list[str]] = {}
+    preferred: dict[str, tuple[int, str]] = {}
     collisions = 0
     for chebi_id, name, name_type in rows:
-        if normalize(name) in stoplist:
+        normalized = normalize(name)
+        if normalized in stoplist:
             continue
         rank = 0 if name_type == "NAME" else 1
-        current_rank = preferred_rank.get(chebi_id)
-        if current_rank is None or rank < current_rank:
-            preferred[chebi_id] = name
-            preferred_rank[chebi_id] = rank
-        numeric = chebi_numeric(chebi_id)
-        for surface in surfaces_for(name):
-            if not surface or surface in stoplist:
-                continue
-            claim = (rank, numeric, chebi_id)
-            current = claims.get(surface)
-            if current is None:
-                claims[surface] = claim
-                continue
+        if rank < preferred.get(chebi_id, (2,))[0]:
+            preferred[chebi_id] = (rank, name)
+        claim = (rank, chebi_numeric(chebi_id), chebi_id)
+        mine = owned.setdefault(chebi_id, [])
+        surfaces = _surfaces(normalized) - stoplist
+        surfaces.discard("")
+        contested = claims.keys() & surfaces
+        for surface in contested:
+            current = claims[surface]
             if current[2] != chebi_id:
                 collisions += 1
-                log.debug(
-                    "surface %r claimed by %s and %s", surface, current[2], chebi_id
-                )
+                log.debug("surface %r claimed by %s and %s", surface, current[2], chebi_id)
             if claim[:2] < current[:2]:
                 claims[surface] = claim
-    surface_to_id = {surface: claim[2] for surface, claim in claims.items()}
-    if not surface_to_id:
+                owned[current[2]].remove(surface)
+                mine.append(surface)
+        surfaces -= contested
+        claims.update(dict.fromkeys(surfaces, claim))
+        mine.extend(surfaces)
+    if not claims:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
-    linked_ids = set(surface_to_id.values())
-    id_to_name = {chebi_id: preferred[chebi_id] for chebi_id in linked_ids}
+    surfaces_by_id = {chebi_id: surfaces for chebi_id, surfaces in owned.items() if surfaces}
+    # Overwrite each claim with its identifier in place: no second 1M-entry dict.
+    surface_to_id: dict[str, str] = claims  # type: ignore[assignment]
+    for chebi_id, surfaces in surfaces_by_id.items():
+        surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
+    id_to_name = {chebi_id: preferred[chebi_id][1] for chebi_id in surfaces_by_id}
     stats = IndexStats(
         entry_count=len(id_to_name),
         surface_count=len(surface_to_id),
         collisions=collisions,
         skipped_rows=parse_stats.skipped if parse_stats else 0,
     )
-    return LexiconIndex(surface_to_id, id_to_name, stats, source_checksum)
+    return LexiconIndex(surface_to_id, id_to_name, stats, source_checksum, surfaces_by_id)
 
 
 def file_sha256(path: str | Path) -> str:

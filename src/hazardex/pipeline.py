@@ -1,7 +1,8 @@
 """Staged pipeline over a workdir: fetch, lexicon, filter, extract, link, report, evaluate.
 
 Every stage writes its outputs plus a manifest recording the hashes of its
-inputs; rerunning a stage whose inputs are unchanged is a no-op. Fetching
+inputs and the byte sizes of its outputs; rerunning a stage whose inputs are
+unchanged and whose outputs keep those sizes is a no-op. Fetching
 additionally keeps its own cursor state so an interrupted crawl resumes
 instead of refetching, and extraction skips every (abstract, style) pair the
 response store already holds. All data goes to files under the workdir; a
@@ -121,8 +122,13 @@ def _area(cfg: PipelineConfig, name: str) -> Path:
     return path
 
 
+def _output_sizes(outputs) -> dict[str, int | None]:
+    return {p.name: p.stat().st_size if p.exists() else None for p in map(Path, outputs)}
+
+
 def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
-    """Previous counts when the manifest matches the inputs and outputs exist."""
+    """Previous counts when the manifest matches the inputs and every output
+    still has the byte size the manifest recorded (a stat, not a hash)."""
     if not manifest_path.exists():
         return None
     try:
@@ -131,17 +137,19 @@ def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
         return None
     if manifest.get("input_hashes") != _canon(signature):
         return None
-    if not all(Path(p).exists() for p in outputs):
+    sizes = _output_sizes(outputs)
+    if None in sizes.values() or manifest.get("output_sizes") != sizes:
         return None
     return manifest.get("counts", {})
 
 
-def _record(manifest_path: Path, stage: str, signature, counts, started_at: str) -> None:
+def _record(manifest_path: Path, stage: str, signature, counts, started_at: str, outputs) -> None:
     _write_json(
         manifest_path,
         {
             "stage": stage,
             "input_hashes": _canon(signature),
+            "output_sizes": _output_sizes(outputs),
             "started_at": started_at,
             "counts": _canon(counts),
         },
@@ -258,7 +266,7 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
         if out.exists():
             counts = {"kept": _count_jsonl(out), "adopted": True}
             log.info("fetch: no endpoint configured, adopting existing %s", out)
-            _record(manifest, "fetch", signature, counts, started)
+            _record(manifest, "fetch", signature, counts, started, [out])
             return StageResult("fetch", skipped=False, counts=counts)
         raise PipelineError(
             "api.endpoint is not configured and no abstracts artifact exists to adopt"
@@ -326,7 +334,7 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
         "duplicates": len(cleaned) - len(records),
         **{f"rejected_{reason}": n for reason, n in sorted(rejected.items())},
     }
-    _record(manifest, "fetch", signature, counts, started)
+    _record(manifest, "fetch", signature, counts, started, [out])
     log.info("fetch: %s", counts)
     return StageResult("fetch", skipped=False, counts=counts)
 
@@ -366,7 +374,7 @@ def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
     index.save(out)
     counts = index.stats.as_dict()
     _write_json(report_path, counts)
-    _record(manifest, "build-lexicon", signature, counts, started)
+    _record(manifest, "build-lexicon", signature, counts, started, [out, report_path])
     log.info("build-lexicon: %s", counts)
     return StageResult("build-lexicon", skipped=False, counts=counts)
 
@@ -390,7 +398,7 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
     kept = list(filter_by_food(records, food))
     _write_records_jsonl(out, kept)
     counts = {"input": len(records), "matched": len(kept)}
-    _record(manifest, "filter", signature, counts, started)
+    _record(manifest, "filter", signature, counts, started, [out])
     log.info("filter[%s]: %s", food_name, counts)
     return StageResult("filter", skipped=False, counts=counts)
 
@@ -461,7 +469,7 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
             {"abstract_key": f.abstract_key, "reason": f.reason} for f in result.failures
         ],
     }
-    _record(manifest, "extract", signature, counts, started)
+    _record(manifest, "extract", signature, counts, started, [out])
     log.info(
         "extract[%s]: %d total, %d new, %d already stored, %d failed",
         _stem(food_name, style),
@@ -536,7 +544,7 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         "dropped_by_gating": dropped_by_gating,
         "table_rows": len(table.rows),
     }
-    _record(manifest, "link", signature, counts, started)
+    _record(manifest, "link", signature, counts, started, [candidates_path, table_path])
     log.info("link[%s]: %s", stem, counts)
     return StageResult("link", skipped=False, counts=counts)
 
@@ -569,7 +577,9 @@ def stage_report(cfg: PipelineConfig, food_name: str, style: PromptStyle | None 
         table = table_from_json_dict(_read_json(table_path))
         emit_report(table, "csv", csv_path)
         emit_report(table, "json", json_path)
-        _record(manifest, "report", signature, {"rows": len(table.rows)}, started)
+        _record(
+            manifest, "report", signature, {"rows": len(table.rows)}, started, [csv_path, json_path]
+        )
         emitted.append(stem)
     counts = {"reports": emitted}
     log.info("report[%s]: emitted %s", food_name, ", ".join(emitted))
@@ -652,7 +662,7 @@ def stage_evaluate(
         "foods": len(report.cells),
         "unjudged": sum(len(v) for v in report.unjudged.values()),
     }
-    _record(manifest, "evaluate", signature, counts, started)
+    _record(manifest, "evaluate", signature, counts, started, [json_path, csv_path])
     return StageResult("evaluate", skipped=False, counts=counts), rows
 
 

@@ -293,7 +293,6 @@ class ExtractionFailure:
 
 @dataclass
 class ExtractionRunResult:
-    responses: list[LlmResponse]
     new_count: int
     skipped_count: int
     failures: list[ExtractionFailure]
@@ -350,12 +349,7 @@ def run_extraction(
             _drain(pool.map(_one, prompts))
     else:
         _drain(_one(p) for p in prompts)
-    wanted = {r.record_key for r in records}
-    responses = [
-        r for r in store.load() if r.style is style and r.abstract_key in wanted
-    ]
     return ExtractionRunResult(
-        responses=responses,
         new_count=new_count,
         skipped_count=skipped,
         failures=failures,

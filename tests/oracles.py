@@ -153,6 +153,60 @@ def random_digit_name(rng: random.Random) -> str:
     return "".join(pieces)
 
 
+def oracle_pluralize(name: str) -> set[str]:
+    """Reference for the plural rules: the name plus its regular English plural.
+
+    No plural when the name does not end in a letter, or when its trailing
+    run of letters is a single letter. Otherwise "-es" after s, x, z, ch or
+    sh; "-ies" for a consonant before a final y; "-s" for everything else.
+    """
+    letters = 0
+    for ch in reversed(name):
+        if not ch.isalpha():
+            break
+        letters += 1
+    if letters < 2:
+        return {name}
+    if name[-1] in "sxz" or name[-2:] in ("ch", "sh"):
+        return {name, name + "es"}
+    if name[-1] == "y" and name[-2] not in "aeiou":
+        return {name, name[:-1] + "ies"}
+    return {name, name + "s"}
+
+
+_WORDS = (
+    "aflatoxin", "vitamin", "patulin", "benzo", "pyrene", "méthyl", "straße",
+    "carotène", "mercury", "alloy", "bismuth", "flash", "borax", "quartz",
+    "toxin", "dioxin", "gas", "PCB",
+)
+_TAILS = (
+    "k", "b", "B", "y", "ay", "ey", "ry", "py", "ch", "sh", "x", "z", "s",
+    "é", "ß", "_k", "k_", "x²", "²", "b²", "1", "b1", "210", "ol", "ii",
+)
+_JOINERS = (" ", "-", "", "  ", "_", " - ")
+
+
+def random_surface_name(rng: random.Random) -> str:
+    """A random dump-style name exercising every plural rule and its exceptions.
+
+    Names mix non-ASCII letters, superscript digits, underscores, digit runs,
+    single-letter tails ("vitamin-k", "aflatoxin b"), vowel-y and consonant-y
+    endings, and s/x/z/ch/sh endings, with irregular spacing and case.
+    """
+    pieces = [rng.choice(_WORDS)]
+    for _ in range(rng.randint(0, 3)):
+        pieces.append(rng.choice(_JOINERS))
+        roll = rng.random()
+        if roll < 0.3:
+            pieces.append(str(rng.randint(0, 999)))
+        else:
+            pieces.append(rng.choice(_WORDS if roll < 0.7 else _TAILS))
+    pieces.append(rng.choice(_JOINERS))
+    pieces.append(rng.choice(_TAILS + _WORDS))
+    name = "".join(pieces)
+    return name.upper() if rng.random() < 0.2 else name
+
+
 def oracle_aggregate(mentions, food_name: str, preferred: dict[str, str]):
     """Reference group-by: rows as plain tuples.
 

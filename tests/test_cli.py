@@ -301,6 +301,31 @@ class TestStageCommands:
         assert result.exit_code == 2
         assert "rerun build-lexicon" in result.output
 
+    def test_truncated_index_is_rebuilt_by_build_lexicon(self, workspace):
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        blob = index_path.read_bytes()
+        index_path.write_bytes(blob[: len(blob) // 2])
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+        assert index_path.read_bytes() == blob
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+
+    def test_manifest_without_output_sizes_counts_as_stale(self, workspace):
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        manifest = workspace["workdir"] / "lexicon" / "build.manifest.json"
+        recorded = json.loads(manifest.read_text(encoding="utf-8"))
+        assert set(recorded["output_sizes"]) == {"index.jsonl", "build_report.json"}
+        del recorded["output_sizes"]
+        manifest.write_text(json.dumps(recorded), encoding="utf-8")
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert "up to date" in result.output
+
     def test_locked_workdir_is_refused(self, workspace):
         workdir = workspace["workdir"]
         (workdir / ".lock").write_text(str(os.getpid()), encoding="utf-8")

@@ -12,7 +12,12 @@ import random
 import pytest
 
 from conftest import CHEBI_ROWS, write_chebi_tsv
-from oracles import oracle_expand, random_digit_name
+from oracles import (
+    oracle_expand,
+    oracle_pluralize,
+    random_digit_name,
+    random_surface_name,
+)
 from hazardex.lexicon import (
     INDEX_VERSION,
     IndexFormatError,
@@ -81,6 +86,14 @@ class TestPluralize:
     def test_always_contains_the_original(self):
         for name in ["lead", "pcb 138", "benzo[a]pyrene", "2,4-d"]:
             assert name in pluralize(name)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["", "y", "ay", "toy", "spy", "quartz", "flash", "β-carotène", "straße",
+         "vitamin-k", "aflatoxin b", "pcb_a", "ok_", "1b", "b-1", "sugar alcohols"],
+    )
+    def test_matches_oracle(self, name):
+        assert pluralize(name) == oracle_pluralize(name)
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +172,16 @@ class TestSurfacesFor:
 
     def test_plain_name_gets_plural_and_itself(self):
         assert surfaces_for("Cadmium") == {"cadmium", "cadmiums"}
+
+    def test_matches_the_oracles_on_random_names(self):
+        rng = random.Random(20240518)
+        names = [random_surface_name(rng) for _ in range(1000)]
+        for feature in ("é", "ß", "²", "_", "ch", "sh", "x", "z", "ay", "ry"):
+            assert any(feature in name for name in names), feature
+        assert any(name[-2] in " -" and name[-1].isalpha() for name in names)
+        for name in names:
+            expected = set().union(*map(oracle_pluralize, oracle_expand(normalize(name))))
+            assert surfaces_for(name) == expected, name
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +327,45 @@ class TestIndexPersistence:
             idx.save(tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_seeded_dump_saves_identical_bytes_and_matches_a_hand_fold(self, tmp_path):
+        rng = random.Random(1001)
+        shared = [random_surface_name(rng) for _ in range(150)]
+        rows = []
+        for number in rng.sample(range(1, 200_000), 1500):
+            chebi_id = f"CHEBI:{number}"
+            for rank in [0] + [1] * rng.randint(0, 2):
+                name = rng.choice(shared) if rng.random() < 0.3 else random_surface_name(rng)
+                rows.append((chebi_id, name, "SYNONYM" if rank else "NAME"))
+        rng.shuffle(rows)
+        stoplist = default_stoplist()
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for path in paths:
+            build_index(list(rows), stoplist).save(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+        claims: dict[str, list[tuple[int, int, str]]] = {}
+        preferred: dict[str, tuple[int, int, str]] = {}
+        for position, (chebi_id, name, name_type) in enumerate(rows):
+            if normalize(name) in stoplist:
+                continue
+            rank = 0 if name_type == "NAME" else 1
+            preferred[chebi_id] = min(preferred.get(chebi_id, (2,)), (rank, position, name))
+            surfaces = set().union(*map(oracle_pluralize, oracle_expand(normalize(name))))
+            for surface in surfaces - stoplist:
+                claims.setdefault(surface, []).append((rank, chebi_numeric(chebi_id), chebi_id))
+        expected = {surface: min(claimants)[2] for surface, claimants in claims.items()}
+        lines = paths[0].read_text(encoding="utf-8").splitlines()
+        saved, names = {}, {}
+        for chebi_id, name, surfaces in map(json.loads, lines[1:]):
+            saved.update(dict.fromkeys(surfaces, chebi_id))
+            names[chebi_id] = name
+        assert saved == expected
+        assert names == {chebi_id: preferred[chebi_id][2] for chebi_id in names}
+        assert json.loads(lines[0])["surface_count"] == len(expected)
+        contested = [c for c in claims.values() if len({chebi_id for *_, chebi_id in c}) > 1]
+        assert len(contested) > 100
+        assert any({rank for rank, *_ in c} == {0, 1} for c in contested)
 
     def test_header_declares_format_and_version(self, lexicon_index, tmp_path):
         path = tmp_path / "index.jsonl"

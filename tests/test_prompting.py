@@ -365,7 +365,7 @@ class TestRunExtraction:
         assert result.new_count == 3
         assert result.skipped_count == 0
         assert [f.abstract_key for f in result.failures] == ["10.1/r3"]
-        assert [r.abstract_key for r in result.responses] == ["10.1/r0", "10.1/r1", "10.1/r2"]
+        assert [r.abstract_key for r in store.load()] == ["10.1/r0", "10.1/r1", "10.1/r2"]
         assert backend.calls == [f"10.1/r{i}" for i in range(4)]
 
     def test_rerun_only_retries_what_is_missing(self, tmp_path):

@@ -28,7 +28,7 @@ from .pipeline import (
     stage_report,
     workdir_lock,
 )
-from .prompting import BackendError, PromptStyle, TemplateError
+from .prompting import BackendError, PromptStyle, StoreFormatError, TemplateError
 
 _HARD_ERRORS = (
     ConfigError,
@@ -38,6 +38,7 @@ _HARD_ERRORS = (
     IndexFormatError,
     TemplateError,
     BackendError,
+    StoreFormatError,
     OSError,
 )
 

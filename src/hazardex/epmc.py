@@ -11,11 +11,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterator
-
-import requests
+from typing import TYPE_CHECKING, Iterator
 
 from .corpus import RawRecord
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -133,11 +134,17 @@ class EuropePmcClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # only fetching sends requests; imported on first use
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._limiter = RateLimiter(rate_limit, sleep=sleep)
 
     def _request_page(self, query: str, cursor: str) -> dict:
+        import requests
+
         params = {
             "query": query,
             "resultType": "core",

@@ -12,6 +12,16 @@ The saved index (format version 2) is UTF-8 JSON Lines: a header object with
 the format marker, version, dump checksum and build counts, then one array per
 identifier in ChEBI numeric order, `[chebi_id, preferred_name, [surfaces]]`,
 its surfaces sorted. The file is replaced atomically on save.
+
+`LexiconIndex.load(path, wanted=...)` reads only what a caller will look up.
+A row without a backslash holds no escaped quote, so its surfaces are the
+pieces between `",["` and `"]]`, split on `","`; only rows sharing a piece
+with `wanted` are parsed as JSON, and rows with a backslash always are. Such
+an index knows only the identifiers that own a wanted surface and cannot be
+saved; when a lookup's raw string misses, the raw and normalized forms that
+lie outside `wanted` go to `unplanned`, for the caller to load again. Both
+loads check the header, the identifier and surface counts and every row, so
+a torn or cut file is an `IndexFormatError` either way.
 """
 
 from __future__ import annotations
@@ -33,8 +43,7 @@ log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
 INDEX_VERSION = 2
-
-CHEBI_ID_RE = re.compile(r"^CHEBI:\d+$")
+_REBUILD = "rerun build-lexicon"
 
 _WS_RE = re.compile(r"\s+")
 
@@ -65,13 +74,14 @@ class IndexFormatError(Exception):
 
 
 def is_chebi_id(value: str) -> bool:
-    return bool(CHEBI_ID_RE.match(value))
+    # `isdecimal` is the regex `\d`: any Unicode decimal digit, which `int` reads.
+    return value.startswith("CHEBI:") and value[6:].isdecimal()
 
 
 def chebi_numeric(chebi_id: str) -> int:
     if not is_chebi_id(chebi_id):
         raise ValueError(f"not a ChEBI identifier: {chebi_id!r}")
-    return int(chebi_id.split(":", 1)[1])
+    return int(chebi_id[6:])
 
 
 def normalize(surface: str) -> str:
@@ -247,6 +257,9 @@ class LexiconIndex:
 
     `surfaces_by_id`, when given, is the same map grouped by identifier, as
     `save` writes it; `build_index` has it for free, a loaded index does not.
+    `wanted` is set on an index loaded with it: it holds only the identifiers
+    that own one of those surfaces, so a miss on a form outside them is not
+    an answer, and the form lands in `unplanned` for the caller to load again.
     """
 
     def __init__(
@@ -256,12 +269,15 @@ class LexiconIndex:
         stats: IndexStats,
         source_checksum: str = "",
         surfaces_by_id: dict[str, list[str]] | None = None,
+        wanted: frozenset[str] | None = None,
     ):
         self._surface_to_id = surface_to_id
         self._id_to_name = id_to_name
         self.stats = stats
         self.source_checksum = source_checksum
         self._surfaces_by_id = surfaces_by_id
+        self.wanted = wanted
+        self.unplanned: set[str] = set()
 
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
@@ -269,7 +285,10 @@ class LexiconIndex:
         hit = self._surface_to_id.get(surface)
         if hit is not None:
             return hit
-        return self._surface_to_id.get(normalize(surface))
+        key = normalize(surface)
+        if self.wanted is not None:
+            self.unplanned.update(s for s in (surface, key) if s not in self.wanted)
+        return self._surface_to_id.get(key)
 
     def preferred_name(self, chebi_id: str) -> str:
         return self._id_to_name.get(chebi_id, chebi_id)
@@ -277,6 +296,8 @@ class LexiconIndex:
     def save(self, path: str | Path) -> None:
         """Write the artifact to a temp file beside `path`, then rename it over."""
         path = Path(path)
+        if self.wanted is not None:
+            raise ValueError(f"not saving a partly loaded index over {path}")
         header = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
@@ -301,43 +322,97 @@ class LexiconIndex:
             tmp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, path: str | Path) -> "LexiconIndex":
+    def load(cls, path: str | Path, wanted: Iterable[str] | None = None) -> "LexiconIndex":
+        """Read a saved index; with `wanted`, only the rows owning one of those surfaces."""
         path = Path(path)
-        rebuild = "rerun build-lexicon"
-        surface_to_id: dict[str, str] = {}
-        id_to_name: dict[str, str] = {}
         with path.open("r", encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
                 found = (header.get("format"), header.get("version"))
             except (ValueError, AttributeError) as exc:
-                raise IndexFormatError(f"{path}: not an index artifact; {rebuild}") from exc
+                raise IndexFormatError(f"{path}: not an index artifact; {_REBUILD}") from exc
             if found != (INDEX_FORMAT, INDEX_VERSION):
                 raise IndexFormatError(
                     f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
-                    f"got {found[0]!r} v{found[1]!r}; {rebuild}"
+                    f"got {found[0]!r} v{found[1]!r}; {_REBUILD}"
                 )
-            try:
-                for line in fh:
-                    chebi_id, name, surfaces = json.loads(line)
-                    id_to_name[chebi_id] = name
-                    surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
-            except (ValueError, TypeError) as exc:
-                line_no = len(id_to_name) + 2
-                raise IndexFormatError(f"{path}: bad row on line {line_no}; {rebuild}") from exc
+            if wanted is not None:
+                wanted = frozenset(wanted)
+                surface_to_id, id_to_name, body = _read_wanted_rows(path, fh, wanted)
+            else:
+                surface_to_id: dict[str, str] = {}
+                id_to_name: dict[str, str] = {}
+                try:
+                    for line in fh:
+                        chebi_id, name, surfaces = json.loads(line)
+                        id_to_name[chebi_id] = name
+                        surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
+                except (ValueError, TypeError) as exc:
+                    line_no = len(id_to_name) + 2
+                    raise IndexFormatError(
+                        f"{path}: bad row on line {line_no}; {_REBUILD}"
+                    ) from exc
+                body = (len(id_to_name), len(surface_to_id))
         declared = (header.get("entry_count"), header.get("surface_count"))
-        if declared != (len(id_to_name), len(surface_to_id)):
+        if declared != body:
             raise IndexFormatError(
                 f"{path}: header declares {declared[0]} ids and {declared[1]} surfaces, "
-                f"body has {len(id_to_name)} and {len(surface_to_id)}; {rebuild}"
+                f"body has {body[0]} and {body[1]}; {_REBUILD}"
             )
         stats = IndexStats(
-            entry_count=len(id_to_name),
-            surface_count=len(surface_to_id),
+            entry_count=body[0],
+            surface_count=body[1],
             collisions=header.get("collisions", 0),
             skipped_rows=header.get("skipped_rows", 0),
         )
-        return cls(surface_to_id, id_to_name, stats, header.get("source_sha256", ""))
+        return cls(surface_to_id, id_to_name, stats, header.get("source_sha256", ""), wanted=wanted)
+
+
+def _surface_pieces(row: str) -> list[str] | None:
+    """A saved row's surfaces, split without parsing; None when it needs a parse.
+
+    Without a backslash no string in the row holds an escaped quote, so the
+    first `",["` ends the name, `","` only ever separates two surfaces, and
+    each piece is the surface itself.
+    """
+    if row.startswith('["') and row.endswith('"]]') and "\\" not in row:
+        tail = row.partition('",["')[2]
+        if len(tail) >= 3:  # the opening `"` of the surfaces is not the closing one
+            return tail[:-3].split('","')
+    return None
+
+
+def _read_wanted_rows(
+    path: Path, fh: TextIO, wanted: frozenset[str]
+) -> tuple[dict[str, str], dict[str, str], tuple[int, int]]:
+    """The two maps over the rows sharing a surface with `wanted`, and the
+    row and surface counts of the whole body."""
+    surface_to_id: dict[str, str] = {}
+    id_to_name: dict[str, str] = {}
+    try:
+        rows = fh.read().split("\n")
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: not UTF-8 text; {_REBUILD}") from exc
+    if rows[-1] == "":
+        rows.pop()
+    surface_count = 0
+    for line_no, row in enumerate(rows, start=2):
+        pieces = _surface_pieces(row)
+        if pieces is not None:
+            surface_count += len(pieces)
+            if wanted.isdisjoint(pieces):
+                continue
+        try:
+            chebi_id, name, surfaces = json.loads(row)
+            if pieces is None:
+                surface_count += len(surfaces)
+                if wanted.isdisjoint(surfaces):
+                    continue
+            id_to_name[chebi_id] = name
+            surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
+        except (ValueError, TypeError) as exc:
+            raise IndexFormatError(f"{path}: bad row on line {line_no}; {_REBUILD}") from exc
+    return surface_to_id, id_to_name, (len(rows), surface_count)
 
 
 def build_index(

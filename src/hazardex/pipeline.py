@@ -51,6 +51,7 @@ from .lexicon import (
     default_stoplist,
     file_sha256,
     load_stoplist,
+    normalize,
     parse_chebi_source,
 )
 from .linker import aggregate, emit_report, link_candidate, table_from_json_dict, table_to_json_dict
@@ -67,6 +68,7 @@ from .response_parser import (
     RECOVERED,
     UNPARSEABLE,
     WELL_FORMED,
+    ExtractionCandidate,
     extract_mapping,
     gate_by_food,
     write_candidates_jsonl,
@@ -508,12 +510,11 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         log.info("link[%s]: inputs unchanged, keeping %s", stem, table_path)
         return StageResult("link", skipped=True, counts=previous)
     records = {r.record_key: r for r in _read_records_jsonl(filtered_path)}
-    index = LexiconIndex.load(index_path)
     responses = ResponseStore(responses_path).load()
     status_counts = {WELL_FORMED: 0, RECOVERED: 0, UNPARSEABLE: 0}
     candidates = []
-    mentions: list[tuple[str, AbstractRecord]] = []
-    resolved = unresolved = dropped_by_gating = missing_abstract = truncated = 0
+    gated_pairs: list[tuple[ExtractionCandidate, AbstractRecord]] = []
+    dropped_by_gating = missing_abstract = truncated = 0
     for response in responses:
         if response.truncated:
             truncated += 1
@@ -527,10 +528,24 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
             continue
         gated = gate_by_food(candidate, food)
         dropped_by_gating += len(candidate.food_terms) - len(gated.food_terms)
-        outcome = link_candidate(gated, record, index)
-        unresolved += len(outcome.unresolved)
-        resolved += len(outcome.pairs)
-        mentions.extend((chebi_id, record) for _, chebi_id in outcome.pairs)
+        gated_pairs.append((gated, record))
+    # Load only the rows these hazards can hit; `lookup` tries the raw string
+    # before its normalized form. An abbreviation expansion is known only once
+    # its lookup has missed, so one that falls outside gets a second load.
+    wanted = {
+        form
+        for gated, _ in gated_pairs
+        for hazards in gated.food_terms.values()
+        for hazard in hazards
+        for form in (hazard, normalize(hazard))
+    }
+    index = LexiconIndex.load(index_path, wanted=wanted)
+    mentions, resolved, unresolved = _link_all(gated_pairs, index)
+    if index.unplanned:
+        log.info("link[%s]: %d expanded surfaces not in the first load, loading again",
+                 stem, len(index.unplanned))
+        index = LexiconIndex.load(index_path, wanted=wanted | index.unplanned)
+        mentions, resolved, unresolved = _link_all(gated_pairs, index)
     write_candidates_jsonl(candidates_path, candidates)
     table = aggregate(mentions, food, index)
     _write_json(table_path, {"style": style.value, **table_to_json_dict(table)})
@@ -547,6 +562,18 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
     _record(manifest, "link", signature, counts, started, [candidates_path, table_path])
     log.info("link[%s]: %s", stem, counts)
     return StageResult("link", skipped=False, counts=counts)
+
+
+def _link_all(gated_pairs, index: LexiconIndex):
+    """Link every gated candidate: the mentions, then the resolved and unresolved counts."""
+    mentions: list[tuple[str, AbstractRecord]] = []
+    resolved = unresolved = 0
+    for gated, record in gated_pairs:
+        outcome = link_candidate(gated, record, index)
+        unresolved += len(outcome.unresolved)
+        resolved += len(outcome.pairs)
+        mentions.extend((chebi_id, record) for _, chebi_id in outcome.pairs)
+    return mentions, resolved, unresolved
 
 
 def stage_report(cfg: PipelineConfig, food_name: str, style: PromptStyle | None = None) -> StageResult:

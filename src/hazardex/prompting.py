@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import AbstractRecord
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -165,7 +167,11 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.name = f"http:{model}"
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # only the http backend sends requests; imported on first use
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
 
     def _payload(self, prompt: RenderedPrompt, params: DecodingParams) -> dict:
@@ -198,6 +204,8 @@ class HttpBackend:
         raise BackendError(f"no completion text in response keys {sorted(payload)}")
 
     def complete(self, prompt: RenderedPrompt, params: DecodingParams) -> tuple[str, bool]:
+        import requests
+
         body = self._payload(prompt, params)
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
@@ -259,8 +267,17 @@ def response_from_json_dict(obj: dict) -> LlmResponse:
     )
 
 
+class StoreFormatError(Exception):
+    """A response store holds a line that is not a stored response."""
+
+
 class ResponseStore:
-    """Append-only JSONL sink; what is on disk is never re-requested."""
+    """Append-only JSONL sink; what is on disk is never re-requested.
+
+    A last line without its newline is an append that did not finish: `load`
+    leaves it out and the next `append` cuts it off, so its prompt is
+    requested again. Any other unreadable line is a `StoreFormatError`.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -268,11 +285,20 @@ class ResponseStore:
     def load(self) -> list[LlmResponse]:
         if not self.path.exists():
             return []
+        lines = self.path.read_bytes().split(b"\n")
+        if lines[-1]:
+            log.warning("%s: ignoring a torn last line of %d bytes", self.path, len(lines[-1]))
         responses = []
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    responses.append(response_from_json_dict(json.loads(line)))
+        for line_no, line in enumerate(lines[:-1], start=1):
+            if not line.strip():
+                continue
+            try:
+                responses.append(response_from_json_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreFormatError(
+                    f"{self.path}: line {line_no} is not a stored response ({exc!r}); "
+                    "move the file aside to request every prompt again"
+                ) from exc
         return responses
 
     def completed_pairs(self) -> set[tuple[str, str]]:
@@ -280,9 +306,17 @@ class ResponseStore:
 
     def append(self, response: LlmResponse) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(response_to_json_dict(response), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        line = json.dumps(response_to_json_dict(response), ensure_ascii=False, sort_keys=True)
+        with self.path.open("a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    keep = fh.read().rfind(b"\n") + 1
+                    log.warning("%s: cutting a torn last line of %d bytes", self.path, end - keep)
+                    fh.truncate(keep)
+            fh.write(line.encode("utf-8") + b"\n")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ import random
 from itertools import groupby, product
 
 SEPARATORS = ("-", " ", "")
-_DIGITS = set("0123456789")
 
 
 def _cls(ch: str) -> str:
-    if ch in _DIGITS:
+    # A digit is any Unicode decimal digit ("١" as well as "1"): NFKC keeps
+    # Arabic-Indic digits, and they are numbers in a name all the same.
+    if ch.isdecimal():
         return "d"
     if ch in " -":
         return "s"
@@ -148,7 +149,7 @@ def random_digit_name(rng: random.Random) -> str:
             pieces.append(rng.choice(["-", " ", "--", " - ", "  "]))
         else:
             pieces.append(rng.choice(_OTHER_CHARS))
-    if not any(ch in _DIGITS for piece in pieces for ch in piece):
+    if not any(ch.isdecimal() for piece in pieces for ch in piece):
         pieces.append(str(rng.randint(0, 99)))
     return "".join(pieces)
 
@@ -186,18 +187,24 @@ _TAILS = (
 _JOINERS = (" ", "-", "", "  ", "_", " - ")
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
 def random_surface_name(rng: random.Random) -> str:
     """A random dump-style name exercising every plural rule and its exceptions.
 
-    Names mix non-ASCII letters, superscript digits, underscores, digit runs,
-    single-letter tails ("vitamin-k", "aflatoxin b"), vowel-y and consonant-y
-    endings, and s/x/z/ch/sh endings, with irregular spacing and case.
+    Names mix non-ASCII letters, superscript digits, underscores, digit runs
+    (some in Arabic-Indic digits, which NFKC keeps), single-letter tails
+    ("vitamin-k", "aflatoxin b"), vowel-y and consonant-y endings, and
+    s/x/z/ch/sh endings, with irregular spacing and case.
     """
     pieces = [rng.choice(_WORDS)]
     for _ in range(rng.randint(0, 3)):
         pieces.append(rng.choice(_JOINERS))
         roll = rng.random()
-        if roll < 0.3:
+        if roll < 0.06:
+            pieces.append(str(rng.randint(0, 999)).translate(_ARABIC_INDIC))
+        elif roll < 0.3:
             pieces.append(str(rng.randint(0, 999)))
         else:
             pieces.append(rng.choice(_WORDS if roll < 0.7 else _TAILS))

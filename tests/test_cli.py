@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -326,6 +328,77 @@ class TestStageCommands:
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert "up to date" in result.output
 
+    def test_expansion_named_by_no_response_is_linked_by_a_second_load(self, tmp_path,
+                                                                         monkeypatch):
+        from hazardex.lexicon import LexiconIndex
+
+        load = LexiconIndex.load.__func__
+        outputs, loads = {}, {}
+        for mode in ("restricted", "full"):
+            ws = make_workspace(tmp_path / mode)
+            # "Deoxynivalenol (DON)" defines the abbreviation; only "DON" is answered.
+            (fixture,) = (ws["root"] / "fixtures").glob("step_by_step__*d4*.txt")
+            fixture.write_text("{'dairy feed': ['DON']}", encoding="utf-8")
+            seen = loads[mode] = []
+
+            def spy(cls, path, wanted=None, _mode=mode, _seen=seen):
+                _seen.append(None if wanted is None else set(wanted))
+                return load(cls, path, None if _mode == "full" else wanted)
+
+            monkeypatch.setattr(LexiconIndex, "load", classmethod(spy))
+            result = invoke("--config", ws["config"], "run-all", "--food", "dairy")
+            monkeypatch.undo()
+            assert result.exit_code == 0, result.output
+            outputs[mode] = {
+                path.relative_to(ws["workdir"]).as_posix(): path.read_bytes()
+                for area in ("candidates", "tables", "reports")
+                for path in sorted((ws["workdir"] / area).iterdir())
+                if not path.name.endswith(".manifest.json")
+            }
+        first, second = loads["restricted"]
+        assert {"Cd", "cd", "DON", "don"} <= first and "Deoxynivalenol" not in first
+        assert {"Deoxynivalenol", "deoxynivalenol"} <= second
+        assert outputs["restricted"] == outputs["full"]
+        table = json.loads(outputs["full"]["tables/dairy__step_by_step.json"])
+        assert "CHEBI:4995" in [row["chebi_id"] for row in table["rows"]]
+
+    def test_torn_last_response_line_is_dropped_then_requested_again(self, workspace):
+        config = workspace["config"]
+        invoke("--config", config, "run-all", "--food", "dairy")
+        store = workspace["workdir"] / "responses" / "dairy__step_by_step.jsonl"
+        whole = store.read_bytes()
+        *kept, last = whole.splitlines(keepends=True)
+        store.write_bytes(b"".join(kept) + last[: len(last) // 2])
+
+        result = invoke("--config", config, "link", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "responses=9" in result.output
+        result = invoke("--config", config, "extract", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "new=1" in result.output and "skipped_existing=9" in result.output
+
+        def answers(blob):
+            rows = [json.loads(line) for line in blob.splitlines()]
+            return [{k: v for k, v in row.items() if k != "latency_ms"} for row in rows]
+
+        assert store.read_bytes().endswith(b"\n")
+        assert answers(store.read_bytes()) == answers(whole)
+        result = invoke("--config", config, "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert read_hazard_csv(workspace["workdir"]) == expected_csv_rows()
+
+    def test_unreadable_response_line_is_a_configuration_error(self, workspace):
+        config = workspace["config"]
+        invoke("--config", config, "run-all", "--food", "dairy")
+        store = workspace["workdir"] / "responses" / "dairy__step_by_step.jsonl"
+        lines = store.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3][:20] + b"\n"
+        store.write_bytes(b"".join(lines))
+        for command in ("link", "extract"):
+            result = invoke("--config", config, command, "--food", "dairy")
+            assert result.exit_code == 2, (command, result.output)
+            assert "line 4 is not a stored response" in result.output
+
     def test_locked_workdir_is_refused(self, workspace):
         workdir = workspace["workdir"]
         (workdir / ".lock").write_text(str(os.getpid()), encoding="utf-8")
@@ -440,6 +513,17 @@ class TestRunAll:
         assert result.exit_code == 0, result.output
         assert (override / "reports" / "hazards__dairy__step_by_step.csv").exists()
         assert not (workspace["workdir"] / "reports").exists()
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    import hazardex
+
+    src = str(Path(hazardex.__file__).resolve().parents[1])
+    code = "import sys, hazardex.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

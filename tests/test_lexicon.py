@@ -176,7 +176,7 @@ class TestSurfacesFor:
     def test_matches_the_oracles_on_random_names(self):
         rng = random.Random(20240518)
         names = [random_surface_name(rng) for _ in range(1000)]
-        for feature in ("é", "ß", "²", "_", "ch", "sh", "x", "z", "ay", "ry"):
+        for feature in ("é", "ß", "²", "_", "ch", "sh", "x", "z", "ay", "ry", "١"):
             assert any(feature in name for name in names), feature
         assert any(name[-2] in " -" and name[-1].isalpha() for name in names)
         for name in names:
@@ -433,8 +433,15 @@ class TestIndexPersistence:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
 
-    @pytest.mark.parametrize("cut", ["torn_line", "line_boundary", "garbage_row"])
-    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut):
+    @pytest.mark.parametrize(
+        "cut,wanted",
+        [
+            pytest.param(cut, wanted, id=cut if wanted is None else f"{cut}-restricted")
+            for wanted in (None, {"cadmium", "benzene"})
+            for cut in ("torn_line", "line_boundary", "garbage_row", "torn_brackets")
+        ],
+    )
+    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut, wanted):
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
         lines = path.read_bytes().splitlines(keepends=True)
@@ -442,17 +449,124 @@ class TestIndexPersistence:
             body = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
         elif cut == "line_boundary":
             body = b"".join(lines[:-1])
+        elif cut == "torn_brackets":  # the last row loses its `"]]`; no count changes
+            body = b"".join(lines)[: -len(b'"]]\n')]
         else:
             body = b"".join(lines[:2] + [b'{"id": "CHEBI:1"}\n'] + lines[2:])
         path.write_bytes(body)
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
-            LexiconIndex.load(path)
+            LexiconIndex.load(path, wanted=wanted)
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"format": "other", "version": 1}) + "\n", encoding="utf-8")
         with pytest.raises(IndexFormatError):
             LexiconIndex.load(path)
+
+
+# --------------------------------------------------------------------------
+# loading only the wanted surfaces
+# --------------------------------------------------------------------------
+
+# Names whose saved rows need escapes: a quote, a backslash, and quoted text
+# that reads like the row separators `","` and `",["` once its escapes are
+# ignored. The last row owns only plain surfaces but has a name like that.
+_AWKWARD_ROWS = [
+    ("CHEBI:11", 'the "quoted" toxin', "NAME"),
+    ("CHEBI:12", "back\\slash oil", "NAME"),
+    ("CHEBI:13", 'fake","separator', "NAME"),
+    ("CHEBI:14", 'fake",["opening', "NAME"),
+    ("CHEBI:15", "β-carotène", "NAME"),
+    ("CHEBI:15", "betacarotene", "SYNONYM"),
+    ("CHEBI:16", "aflatoxin b١", "NAME"),
+    ("CHEBI:17", 'odd",["name', "NAME"),
+    ("CHEBI:17", "patulin", "SYNONYM"),
+]
+
+
+@pytest.fixture(scope="module")
+def seeded_index_file(tmp_path_factory):
+    rng = random.Random(6006)
+    rows = list(_AWKWARD_ROWS)
+    for number in rng.sample(range(100, 50_000), 400):
+        for name_type in ["NAME"] + ["SYNONYM"] * rng.randint(0, 2):
+            rows.append((f"CHEBI:{number}", random_surface_name(rng), name_type))
+    path = tmp_path_factory.mktemp("restricted") / "index.jsonl"
+    build_index(rows, default_stoplist()).save(path)
+    return path
+
+
+def _saved_surfaces(path):
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return sorted(surface for _, _, surfaces in map(json.loads, rows) for surface in surfaces)
+
+
+def _respellings(surface):
+    return [surface.upper(), f"  {surface} ", surface.replace(" ", "   "),
+            surface.translate(str.maketrans("abc", "ａｂｃ")), surface.title()]
+
+
+class TestRestrictedLoad:
+    def test_awkward_rows_are_escaped_in_the_file(self, seeded_index_file):
+        text = seeded_index_file.read_text(encoding="utf-8")
+        assert '\\",\\"separator' in text and '\\",[\\"opening' in text
+        assert "١" in text and "β-carotène" in text
+
+    def test_random_wanted_sets_answer_as_the_full_load(self, seeded_index_file):
+        full = LexiconIndex.load(seeded_index_file)
+        surfaces = _saved_surfaces(seeded_index_file)
+        awkward = [surfaces_for(name) for _, name, _ in _AWKWARD_ROWS]
+        rng = random.Random(7007)
+        for trial in range(40):
+            asked = rng.sample(surfaces, rng.randint(0, 12))
+            asked += [rng.choice(sorted(s)) for s in rng.sample(awkward, 3)]
+            asked += [random_surface_name(rng) + " unknown" for _ in range(rng.randint(0, 5))]
+            asked += [rng.choice(_respellings(s)) for s in rng.sample(surfaces, 5)]
+            asked += ["", "patulin", "PATULINS", '"]]', '","', 'fake","separator']
+            wanted = {form for s in asked for form in (s, normalize(s))}
+            restricted = LexiconIndex.load(seeded_index_file, wanted=wanted)
+            assert restricted.stats == full.stats
+            for surface in asked:
+                chebi_id = restricted.lookup(surface)
+                assert chebi_id == full.lookup(surface), (trial, surface)
+                if chebi_id is not None:
+                    assert restricted.preferred_name(chebi_id) == full.preferred_name(chebi_id)
+            assert restricted.unplanned == set(), trial
+
+    def test_a_miss_outside_the_wanted_set_is_recorded_and_a_second_load_answers_it(
+        self, seeded_index_file
+    ):
+        full = LexiconIndex.load(seeded_index_file)
+        restricted = LexiconIndex.load(seeded_index_file, wanted={"patulin"})
+        assert restricted.lookup("patulin") == "CHEBI:17"
+        assert restricted.preferred_name("CHEBI:17") == 'odd",["name'
+        assert restricted.unplanned == set()
+        assert restricted.lookup("Β-CAROTÈNE") is None
+        assert full.lookup("Β-CAROTÈNE") == "CHEBI:15"
+        assert restricted.unplanned == {"Β-CAROTÈNE", "β-carotène"}
+        assert restricted.preferred_name("CHEBI:15") == "CHEBI:15"
+        again = LexiconIndex.load(seeded_index_file, wanted={"patulin"} | restricted.unplanned)
+        assert again.lookup("Β-CAROTÈNE") == "CHEBI:15"
+        assert again.preferred_name("CHEBI:15") == "β-carotène"
+        assert again.unplanned == set()
+
+    def test_a_restricted_index_cannot_be_saved(self, seeded_index_file, tmp_path):
+        restricted = LexiconIndex.load(seeded_index_file, wanted={"patulin"})
+        target = tmp_path / "index.jsonl"
+        target.write_bytes(seeded_index_file.read_bytes())
+        with pytest.raises(ValueError, match="partly loaded"):
+            restricted.save(target)
+        assert target.read_bytes() == seeded_index_file.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
+
+    @pytest.mark.parametrize("wanted", [None, {"patulin"}], ids=["full", "restricted"])
+    def test_a_cut_inside_a_character_is_a_format_error(self, seeded_index_file, tmp_path,
+                                                        wanted):
+        blob = seeded_index_file.read_bytes()
+        path = tmp_path / "index.jsonl"
+        path.write_bytes(blob[: blob.index("β".encode("utf-8")) + 1])
+        with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
+            LexiconIndex.load(path, wanted=wanted)
 
 
 # --------------------------------------------------------------------------
@@ -468,6 +582,14 @@ class TestIdentifiers:
 
     def test_chebi_numeric(self):
         assert chebi_numeric("CHEBI:28628") == 28628
+
+    @pytest.mark.parametrize(
+        "bad", ["CHEBI:", "CHEBI:12a", "CHEBI:-3", "CHEBI:1\n", "chebi:5", "CHEBI:²"]
+    )
+    def test_chebi_numeric_rejects_what_is_not_an_identifier(self, bad):
+        assert not is_chebi_id(bad)
+        with pytest.raises(ValueError, match="not a ChEBI identifier"):
+            chebi_numeric(bad)
 
     def test_file_sha256_matches_hashlib(self, tmp_path):
         import hashlib

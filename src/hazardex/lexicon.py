@@ -221,7 +221,7 @@ def parse_chebi_source(
             if compound_id.upper().startswith("CHEBI:"):
                 compound_id = compound_id[6:]
             name = parts[name_col].strip()
-            if not compound_id.isdigit() or not name:
+            if not compound_id.isdecimal() or not name:
                 _skip_row(path, lineno, "missing id or name", stats)
                 continue
             if stats is not None:

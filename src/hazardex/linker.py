@@ -34,7 +34,9 @@ HAZARD_CSV_COLUMNS = (
     "supporting_dois",
 )
 
-_SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
+# A sentence boundary, ".", "!" or "?" then whitespace, read backwards: the
+# first match in the reversed text is the last boundary in the text.
+_REVERSED_BOUNDARY_RE = re.compile(r"\s+(?=[.!?])")
 _EDGE_PUNCT_RE = re.compile(r"^[^\w]+|[^\w]+$")
 
 
@@ -93,6 +95,14 @@ def _letters_spell(abbr: str, words: tuple[str, ...]) -> bool:
     return feasible(0, 0, 0)
 
 
+def _sentence_before(text: str, reversed_text: str, end: int) -> str:
+    """What follows the last sentence boundary in text[:end]; empty when
+    text[:end] ends on one. reversed_text is text[::-1], searched from `end`
+    back towards the start, so only the last sentence is ever scanned."""
+    boundary = _REVERSED_BOUNDARY_RE.search(reversed_text, len(text) - end)
+    return text[len(text) - boundary.start() if boundary else 0 : end]
+
+
 def resolve_abbreviation(term: str, abstract_text: str) -> str:
     """Expand an abbreviation via its defining parenthesis in the abstract.
 
@@ -105,9 +115,9 @@ def resolve_abbreviation(term: str, abstract_text: str) -> str:
     if not abbr:
         return term
     pattern = re.compile(r"\(\s*" + re.escape(term) + r"\s*\)", re.IGNORECASE)
+    reversed_text = abstract_text[::-1]
     for match in pattern.finditer(abstract_text):
-        preceding = abstract_text[: match.start()]
-        sentence = _SENTENCE_BOUNDARY_RE.split(preceding)[-1]
+        sentence = _sentence_before(abstract_text, reversed_text, match.start())
         words = sentence.split()
         for span in range(min(ABBREVIATION_WINDOW_WORDS, len(words)), 0, -1):
             window = tuple(words[-span:])

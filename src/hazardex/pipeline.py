@@ -11,6 +11,7 @@ response store already holds. All data goes to files under the workdir; a
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -61,6 +62,8 @@ from .prompting import (
     MockBackend,
     PromptStyle,
     ResponseStore,
+    complete_lines,
+    cut_torn_tail,
     load_template,
     run_extraction,
 )
@@ -239,6 +242,21 @@ def _raw_from_dict(obj: dict) -> RawRecord:
     )
 
 
+def _read_raw_records(path: Path) -> list[RawRecord]:
+    """Raw records of the fetch cache, torn last line left out as in the
+    response store; any other unreadable line is a `PipelineError`."""
+    raws = []
+    for line_no, line in complete_lines(path):
+        try:
+            raws.append(_raw_from_dict(json.loads(line)))
+        except (ValueError, AttributeError, TypeError) as exc:
+            raise PipelineError(
+                f"{path}: line {line_no} is not a raw record ({exc!r}); "
+                "delete it and fetch_state.json to fetch again"
+            ) from exc
+    return raws
+
+
 def _count_jsonl(path: Path) -> int:
     with path.open("r", encoding="utf-8") as fh:
         return sum(1 for line in fh if line.strip())
@@ -284,6 +302,8 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
             cursor = state["next_cursor"]
             mode = "a"
             log.info("fetch: resuming from cursor %r", cursor)
+            with raw_path.open("a+b") as fh:
+                cut_torn_tail(fh, raw_path)
         else:
             cursor = FIRST_CURSOR
             mode = "w"
@@ -315,11 +335,7 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
                 ) from exc
         _write_json(state_path, {"signature": state_sig, "next_cursor": None, "done": True})
 
-    raws = []
-    with raw_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                raws.append(_raw_from_dict(json.loads(line)))
+    raws = _read_raw_records(raw_path)
     rejected: Counter[str] = Counter()
     cleaned: list[AbstractRecord] = []
     for raw in raws:
@@ -631,16 +647,40 @@ def _food_order(cfg: PipelineConfig, reports: list[AccuracyReport]) -> list[str]
 def stage_evaluate(
     cfg: PipelineConfig, gold_path: Path, style: PromptStyle
 ) -> tuple[StageResult, list[list[str]]]:
-    """Score the style's tables against gold; returns the printable grid."""
+    """Score the style's tables against gold; returns the printable grid.
+
+    The comparison across styles is rewritten from every style's tables, so
+    all of them, the gold file and the food order make up the signature.
+    """
     started = _now()
     gold_path = Path(gold_path)
     if not gold_path.exists():
         raise PipelineError(f"gold file not found: {gold_path}")
-    tables = _tables_for_style(cfg, style)
-    if not tables:
+    tables_area = _area(cfg, "tables")
+    styles_present = [s for s in PromptStyle if any(tables_area.glob(f"*__{s.value}.json"))]
+    if style not in styles_present:
         raise PipelineError(f"no linked tables for style {style.value!r}; run link first")
+    reports_area = _area(cfg, "reports")
+    json_path = reports_area / f"accuracy__{style.value}.json"
+    csv_path = reports_area / f"accuracy__{style.value}.csv"
+    outputs = [json_path, csv_path]
+    if len(styles_present) > 1:
+        outputs += [reports_area / "comparison.csv", reports_area / "comparison.json"]
+    manifest = reports_area / f"evaluate__{style.value}.manifest.json"
+    signature = {
+        "gold_sha256": file_sha256(gold_path),
+        "tables": {p.name: file_sha256(p) for p in sorted(tables_area.glob("*.json"))},
+        "foods": list(cfg.foods),
+    }
+    previous = _fresh(manifest, signature, outputs)
+    if previous is not None:
+        log.info("evaluate[%s]: inputs unchanged, keeping %s", style.value, csv_path)
+        with csv_path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        return StageResult("evaluate", skipped=True, counts=previous), rows
+
     gold = load_gold(gold_path)
-    report = score(tables, gold, style.value)
+    report = score(_tables_for_style(cfg, style), gold, style.value)
     for (food, _), ids in sorted(report.unjudged.items()):
         log.warning(
             "evaluate[%s]: %d unjudged identifiers for %s: %s",
@@ -649,18 +689,12 @@ def stage_evaluate(
             food,
             ", ".join(ids),
         )
-    reports_area = _area(cfg, "reports")
-    json_path = reports_area / f"accuracy__{style.value}.json"
-    csv_path = reports_area / f"accuracy__{style.value}.csv"
     rows = grid_rows([report], _food_order(cfg, [report]))
     _write_json(json_path, report_to_json_dict(report))
     write_grid_csv(rows, csv_path)
 
     # With tables for several styles on disk, also emit the side-by-side
     # comparison picking the best style.
-    styles_present = [
-        s for s in PromptStyle if any(_area(cfg, "tables").glob(f"*__{s.value}.json"))
-    ]
     if len(styles_present) > 1:
         all_reports = {
             s.value: score(_tables_for_style(cfg, s), gold, s.value) for s in styles_present
@@ -678,18 +712,11 @@ def stage_evaluate(
                 },
             },
         )
-    manifest = reports_area / f"evaluate__{style.value}.manifest.json"
-    signature = {
-        "gold_sha256": file_sha256(gold_path),
-        "tables": [
-            file_sha256(p) for p in sorted(_area(cfg, "tables").glob(f"*__{style.value}.json"))
-        ],
-    }
     counts = {
         "foods": len(report.cells),
         "unjudged": sum(len(v) for v in report.unjudged.values()),
     }
-    _record(manifest, "evaluate", signature, counts, started, [json_path, csv_path])
+    _record(manifest, "evaluate", signature, counts, started, outputs)
     return StageResult("evaluate", skipped=False, counts=counts), rows
 
 

@@ -271,6 +271,32 @@ class StoreFormatError(Exception):
     """A response store holds a line that is not a stored response."""
 
 
+def complete_lines(path: Path) -> list[tuple[int, bytes]]:
+    """The numbered, non-blank lines of an append-only JSONL file.
+
+    A last line without its newline is an append that did not finish: it is
+    left out with a warning, and `cut_torn_tail` removes it before the next
+    append.
+    """
+    lines = path.read_bytes().split(b"\n")
+    if lines[-1]:
+        log.warning("%s: ignoring a torn last line of %d bytes", path, len(lines[-1]))
+    return [(line_no, line) for line_no, line in enumerate(lines[:-1], start=1) if line.strip()]
+
+
+def cut_torn_tail(fh, path: Path) -> None:
+    """Cut a last line without its newline from `fh`, a binary file opened
+    for reading and writing, so the next append starts on a line of its own."""
+    end = fh.seek(0, os.SEEK_END)
+    if end:
+        fh.seek(end - 1)
+        if fh.read(1) != b"\n":
+            fh.seek(0)
+            keep = fh.read().rfind(b"\n") + 1
+            log.warning("%s: cutting a torn last line of %d bytes", path, end - keep)
+            fh.truncate(keep)
+
+
 class ResponseStore:
     """Append-only JSONL sink; what is on disk is never re-requested.
 
@@ -285,13 +311,8 @@ class ResponseStore:
     def load(self) -> list[LlmResponse]:
         if not self.path.exists():
             return []
-        lines = self.path.read_bytes().split(b"\n")
-        if lines[-1]:
-            log.warning("%s: ignoring a torn last line of %d bytes", self.path, len(lines[-1]))
         responses = []
-        for line_no, line in enumerate(lines[:-1], start=1):
-            if not line.strip():
-                continue
+        for line_no, line in complete_lines(self.path):
             try:
                 responses.append(response_from_json_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
@@ -308,14 +329,7 @@ class ResponseStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(response_to_json_dict(response), ensure_ascii=False, sort_keys=True)
         with self.path.open("a+b") as fh:
-            end = fh.seek(0, os.SEEK_END)
-            if end:
-                fh.seek(end - 1)
-                if fh.read(1) != b"\n":
-                    fh.seek(0)
-                    keep = fh.read().rfind(b"\n") + 1
-                    log.warning("%s: cutting a torn last line of %d bytes", self.path, end - keep)
-                    fh.truncate(keep)
+            cut_torn_tail(fh, self.path)
             fh.write(line.encode("utf-8") + b"\n")
 
 

@@ -8,11 +8,27 @@ quotes, unquoted bare words, trailing commas, a bare string instead of a
 one-element list, and hazards nested one level inside another mapping.
 Anything beyond that is unparseable, which is a normal recorded outcome, not
 an error.
+
+Answers are long and the mapping small, so the scanners move with `str.find`
+and compiled regexes instead of one step per character:
+
+- Outside every {...} region the region scan jumps to the next "{".
+- Inside a region and outside strings it jumps to the next brace or quote.
+  A quote opens a string only when the last non-space character before it
+  is one of "{[:,"; that character is read from the text it jumped over.
+- Inside a string it jumps to whichever comes first: the closing quote, or a
+  backslash, which escapes the character after it.
+- A region's tokens come from one regex whose alternatives are a structural
+  character, a single- or double-quoted string (escapes mapped only when the
+  string holds a backslash), a quote that never closes (the region fails to
+  parse), and a bare word: a non-space character and everything up to the
+  next structural character, trailing whitespace stripped.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -25,10 +41,28 @@ UNPARSEABLE = "unparseable"
 
 PARSE_STATUSES = (WELL_FORMED, RECOVERED, UNPARSEABLE)
 
-_STRUCTURAL = "{}[]:,"
 _QUOTES = "'\""
 _OPENERS = "{[:,"
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"'}
+
+# Inside a region and outside strings, only braces and quotes stop the scan.
+_REGION_STOP_RE = re.compile(r"[{}'\"]")
+# Whitespace is skipped; every other character starts exactly one token: a
+# structural character, a quoted string (a backslash escapes the next
+# character), a quote that never closes, or a bare word running up to the
+# next structural character.
+_STRUCT, _SINGLE, _DOUBLE, _LONE_QUOTE, _BARE = range(1, 6)
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        ([{}\[\]:,])
+      | '([^'\\]*(?:\\.[^'\\]*)*)'
+      | "([^"\\]*(?:\\.[^"\\]*)*)"
+      | (['"])
+      | ([^\s{}\[\]:,'"][^{}\[\]:,]*)
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -45,6 +79,19 @@ class _ParseFailure(Exception):
     pass
 
 
+def _string_end(text: str, i: int, quote: str) -> int:
+    """Index just past the quote closing the string that starts at i, or
+    len(text) when it never closes. A backslash escapes the next character."""
+    while True:
+        close = text.find(quote, i)
+        if close < 0:
+            return len(text)
+        backslash = text.find("\\", i, close)
+        if backslash < 0:
+            return close + 1
+        i = backslash + 2
+
+
 def _mapping_regions(text: str) -> list[tuple[int, int]]:
     """Spans of every balanced {...} region, ordered by closing position.
 
@@ -54,76 +101,59 @@ def _mapping_regions(text: str) -> list[tuple[int, int]]:
     """
     regions: list[tuple[int, int]] = []
     stack: list[int] = []
-    quote: str | None = None
     last_sig = ""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
+    i = 0
+    while True:
         if not stack:
-            if ch == "{":
-                stack.append(i)
-                last_sig = "{"
+            i = text.find("{", i)
+            if i < 0:
+                break
+            stack.append(i)
+            last_sig = "{"
             i += 1
             continue
-        if quote:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-                last_sig = "s"
-            i += 1
-            continue
+        stop = _REGION_STOP_RE.search(text, i)
+        if stop is None:
+            break
+        j = stop.start()
+        skipped = text[i:j].rstrip()
+        if skipped:
+            last_sig = skipped[-1]
+        ch = text[j]
+        i = j + 1
         if ch in _QUOTES and last_sig in _OPENERS:
-            quote = ch
-            i += 1
+            i = _string_end(text, i, ch)
+            last_sig = "s"
             continue
         if ch == "{":
-            stack.append(i)
+            stack.append(j)
         elif ch == "}":
-            regions.append((stack.pop(), i + 1))
-        if not ch.isspace():
-            last_sig = ch
-        i += 1
+            regions.append((stack.pop(), j + 1))
+        last_sig = ch
     regions.sort(key=lambda span: span[1])
     return regions
 
 
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
 def _tokenize(src: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _STRUCTURAL:
+    for match in _TOKEN_RE.finditer(src):
+        group = match.lastindex
+        if group == _STRUCT:
+            ch = match[_STRUCT]
             tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch in _QUOTES:
-            i += 1
-            buf: list[str] = []
-            while i < n:
-                c = src[i]
-                if c == "\\" and i + 1 < n:
-                    buf.append(_ESCAPES.get(src[i + 1], src[i + 1]))
-                    i += 2
-                    continue
-                if c == ch:
-                    i += 1
-                    break
-                buf.append(c)
-                i += 1
-            else:
-                raise _ParseFailure("unterminated string")
-            tokens.append(("str", "".join(buf)))
-            continue
-        j = i
-        while j < n and src[j] not in _STRUCTURAL:
-            j += 1
-        tokens.append(("str", src[i:j].strip()))
-        i = j
+        elif group == _BARE:
+            tokens.append(("str", match[_BARE].rstrip()))
+        elif group == _LONE_QUOTE:
+            raise _ParseFailure("unterminated string")
+        else:
+            body = match[group]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(_unescape, body)
+            tokens.append(("str", body))
     return tokens
 
 

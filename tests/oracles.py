@@ -2,13 +2,16 @@
 
 These are deliberately written from the rules, not from the package sources:
 a character-class decomposition via itertools.groupby instead of the regex
-scanner, and dict folding instead of the production aggregation. Tests assert
+scanner, and dict folding instead of the production aggregation. The
+response scanners are the parser's earlier one-character-at-a-time loops,
+kept as the reference for the `str.find` and regex versions. Tests assert
 set-for-set / row-for-row equality between package output and these oracles.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import groupby, product
 
 SEPARATORS = ("-", " ", "")
@@ -240,3 +243,138 @@ def oracle_aggregate(mentions, food_name: str, preferred: dict[str, str]):
         )
     rows.sort(key=lambda r: (-r[3], r[2], r[1]))
     return rows
+
+
+# --------------------------------------------------------------------------
+# response scanning: the one-character-at-a-time scanners the parser and the
+# abbreviation back-trace used before they moved to `str.find` and regexes
+# --------------------------------------------------------------------------
+
+_QUOTES = "'\""
+_OPENERS = "{[:,"
+_STRUCTURAL = "{}[]:,"
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"'}
+
+
+class OracleUnterminated(Exception):
+    """The oracle tokenizer met a string that never closes."""
+
+
+def oracle_mapping_regions(text: str) -> list[tuple[int, int]]:
+    """Spans of every balanced {...} region, ordered by closing position."""
+    regions: list[tuple[int, int]] = []
+    stack: list[int] = []
+    quote: str | None = None
+    last_sig = ""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if not stack:
+            if ch == "{":
+                stack.append(i)
+                last_sig = "{"
+            i += 1
+            continue
+        if quote:
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+                last_sig = "s"
+            i += 1
+            continue
+        if ch in _QUOTES and last_sig in _OPENERS:
+            quote = ch
+            i += 1
+            continue
+        if ch == "{":
+            stack.append(i)
+        elif ch == "}":
+            regions.append((stack.pop(), i + 1))
+        if not ch.isspace():
+            last_sig = ch
+        i += 1
+    regions.sort(key=lambda span: span[1])
+    return regions
+
+
+def oracle_tokenize(src: str) -> list[tuple[str, str]]:
+    tokens: list[tuple[str, str]] = []
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _STRUCTURAL:
+            tokens.append((ch, ch))
+            i += 1
+            continue
+        if ch in _QUOTES:
+            i += 1
+            buf: list[str] = []
+            while i < n:
+                c = src[i]
+                if c == "\\" and i + 1 < n:
+                    buf.append(_ESCAPES.get(src[i + 1], src[i + 1]))
+                    i += 2
+                    continue
+                if c == ch:
+                    i += 1
+                    break
+                buf.append(c)
+                i += 1
+            else:
+                raise OracleUnterminated
+            tokens.append(("str", "".join(buf)))
+            continue
+        j = i
+        while j < n and src[j] not in _STRUCTURAL:
+            j += 1
+        tokens.append(("str", src[i:j].strip()))
+        i = j
+    return tokens
+
+
+def oracle_last_sentence(preceding: str) -> str:
+    """The text after the last sentence boundary: ".", "!" or "?" followed by
+    whitespace. Empty when the text ends on a boundary."""
+    return re.split(r"(?<=[.!?])\s+", preceding)[-1]
+
+
+SCAN_ALPHABET = "{}[]:,'\"\\ ab\n\t"
+
+_PROSE = (
+    "Step 1: read the abstract.",
+    "The study's samples (n = 40) were 'fresh' and \"frozen\".",
+    "Let's list the foods: salmon, trout, and {maybe} cod.",
+    "Note: escapes like \\n and \\' appear in echoed code.",
+    "Step 2: pick the hazards!",
+    "Is it {'fish': ['Hg']}? Yes.",
+    "Here is an echo: print({'a': [1, 2]}) and d = {\"k\": v}",
+    "Unbalanced { brace and a stray } here, then ['x', 'y'].",
+)
+
+
+def random_scan_text(rng: random.Random, size: int) -> str:
+    """A string of `size` characters over the scanner's special alphabet."""
+    return "".join(rng.choice(SCAN_ALPHABET) for _ in range(size))
+
+
+def random_long_response(rng: random.Random) -> str:
+    """Reasoning prose with echoed code around one small mapping, the shape
+    of a step-by-step answer, several KB long."""
+    parts = [rng.choice(_PROSE) for _ in range(rng.randint(20, 80))]
+    mapping = rng.choice(
+        (
+            "{'salmon': ['mercury', 'PCBs']}",
+            '{"salmon fillet": "dioxin", "cod": ["Cd",]}',
+            "{salmon: [arsenic, 'lead\\'s salts']}",
+            "{'salmon': {'metals': ['Hg'], 'other': 'PFOA'}}",
+            "{'salmon': ['unterminated}",
+        )
+    )
+    parts.insert(rng.randrange(len(parts) + 1), mapping)
+    parts.extend(random_scan_text(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 3)))
+    return rng.choice((" ", "\n", "\n\n")).join(parts)

@@ -25,6 +25,7 @@ from conftest import (
 from hazardex.cli import main
 from hazardex.config import ConfigError, load_config
 from hazardex.corpus import record_to_json_dict
+from hazardex.prompting import PromptStyle
 
 
 runner = CliRunner()
@@ -179,6 +180,50 @@ class TestFetchCommand:
         assert "duplicates=1" in result.output
         assert "rejected_too_short=1" in result.output
         assert "rejected_empty=1" in result.output
+
+    def test_torn_last_raw_record_is_cut_before_a_resumed_fetch(self, tmp_path, stub_api):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        stub.fail_plan.extend([None, 404])
+        assert invoke("--config", config, "fetch").exit_code == 2
+        raw_path = workdir / "abstracts" / "raw_records.jsonl"
+        with raw_path.open("ab") as fh:
+            fh.write(b'{"source_id": "torn", "ti')
+
+        healed = invoke("--config", config, "fetch")
+        assert healed.exit_code == 0, healed.output
+        rows = read_jsonl(workdir / "abstracts" / "abstracts.jsonl")
+        assert {r["doi"] for r in rows} == {f"10.5555/stub{i}" for i in range(25)}
+        raw_lines = raw_path.read_bytes().split(b"\n")
+        assert raw_lines[-1] == b""
+        assert len([json.loads(line) for line in raw_lines[:-1]]) == 25
+
+    def test_torn_last_raw_record_of_a_finished_fetch_is_left_out(self, tmp_path, stub_api):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        assert invoke("--config", config, "fetch").exit_code == 0
+        with (workdir / "abstracts" / "raw_records.jsonl").open("ab") as fh:
+            fh.write(b'{"source_id": "torn", "ti')
+        (workdir / "abstracts" / "fetch.manifest.json").unlink()
+
+        result = invoke("--config", config, "fetch")
+        assert result.exit_code == 0, result.output
+        assert "raw=25" in result.output
+        assert len(read_jsonl(workdir / "abstracts" / "abstracts.jsonl")) == 25
+
+    def test_unreadable_raw_record_line_is_a_configuration_error(self, tmp_path, stub_api):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        assert invoke("--config", config, "fetch").exit_code == 0
+        raw_path = workdir / "abstracts" / "raw_records.jsonl"
+        lines = raw_path.read_bytes().split(b"\n")
+        lines[1] = b"not json"
+        raw_path.write_bytes(b"\n".join(lines))
+        (workdir / "abstracts" / "fetch.manifest.json").unlink()
+
+        result = invoke("--config", config, "fetch")
+        assert result.exit_code == 2
+        assert "raw_records.jsonl: line 2" in result.output
 
     def test_no_endpoint_and_no_artifact_is_an_error(self, tmp_path):
         root = tmp_path / "e"
@@ -468,18 +513,14 @@ class TestRunAll:
         reports_dir = workspace["workdir"] / "reports"
 
         def snapshot():
-            # evaluation is recomputed every run (it is cheap and must print),
-            # so its manifest timestamp legitimately moves; reports must not
-            return {
-                p.name: p.read_bytes()
-                for p in reports_dir.iterdir()
-                if not p.name.endswith(".manifest.json")
-            }
+            # every stage skips, evaluation included, so not even a manifest
+            # is rewritten
+            return {p.name: p.read_bytes() for p in reports_dir.iterdir()}
 
         before = snapshot()
         result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         assert result.exit_code == 0
-        assert result.output.count("up to date") >= 5
+        assert result.output.count("up to date") == 7
         assert snapshot() == before
 
     def test_stagewise_run_equals_run_all(self, tmp_path):
@@ -555,6 +596,33 @@ class TestEvaluateCommand:
         result = invoke("--config", ws["config"], "evaluate", "--gold", harsher)
         assert result.exit_code == 0
         assert "1/7 (14.3%)" in result.output
+
+    def test_second_evaluate_is_up_to_date_and_prints_the_same_grid(self, workspace):
+        def grid(output):
+            return [l for l in output.splitlines() if l.startswith(("style", "step_by_step"))]
+
+        computed = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        reports = workspace["workdir"] / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        result = invoke("--config", workspace["config"], "evaluate")
+        assert result.exit_code == 0, result.output
+        assert "evaluate: up to date" in result.output
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+        assert len(grid(result.output)) == 2
+        assert grid(result.output) == grid(computed.output)
+        assert "5/7 (71.4%)" in grid(result.output)[1]
+
+    def test_linking_another_style_makes_evaluate_stale(self, workspace):
+        ws = self.prepared(workspace)
+        write_mock_fixtures(ws["root"] / "fixtures", PromptStyle.SIMPLE)
+        for command in ("extract", "link"):
+            result = invoke("--config", ws["config"], command, "--food", "dairy", "--style", "simple")
+            assert result.exit_code == 0, result.output
+        result = invoke("--config", ws["config"], "evaluate")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+        assert (ws["workdir"] / "reports" / "comparison.json").exists()
+        assert "up to date" in invoke("--config", ws["config"], "evaluate").output
 
     def test_without_gold_anywhere_is_an_error(self, tmp_path):
         ws = make_workspace(tmp_path / "nogold", with_gold=False)

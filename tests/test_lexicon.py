@@ -240,6 +240,22 @@ class TestParseChebiSource:
         assert [r[0] for r in rows] == ["CHEBI:28628", "CHEBI:16526"]
         assert stats.skipped == 2
 
+    def test_non_decimal_digit_ids_are_skipped_and_counted(self, tmp_path):
+        # "²" and "½" pass `isdigit`/`isnumeric` but `int` refuses them.
+        path = tmp_path / "names.tsv"
+        path.write_text(
+            "COMPOUND_ID\tTYPE\tNAME\n"
+            "1²\tNAME\tsquared\n"
+            "CHEBI:½\tNAME\thalf\n"
+            "١٢\tNAME\tArabic-Indic\n"
+            "16526\tNAME\tbenzene\n",
+            encoding="utf-8",
+        )
+        stats = ParseStats()
+        rows = list(parse_chebi_source(path, stats))
+        assert [r[0] for r in rows] == ["CHEBI:12", "CHEBI:16526"]
+        assert stats.skipped == 2
+
     def test_reads_gzip_compressed_dumps(self, tmp_path):
         plain = write_chebi_tsv(tmp_path / "names.tsv")
         gz = tmp_path / "names.tsv.gz"

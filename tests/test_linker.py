@@ -7,17 +7,20 @@ from __future__ import annotations
 import csv
 import json
 import random
+from unittest import mock
 
 import pytest
 
 from conftest import PREFERRED_NAMES, lexicon_index  # noqa: F401  (fixture)
-from oracles import oracle_aggregate
+from oracles import oracle_aggregate, oracle_last_sentence
+from hazardex import linker
 from hazardex.corpus import AbstractRecord, BUILTIN_FOODS
 from hazardex.linker import (
     ABBREVIATION_WINDOW_WORDS,
     HAZARD_CSV_COLUMNS,
     HazardTable,
     LinkedHazard,
+    _sentence_before,
     aggregate,
     emit_report,
     link_candidate,
@@ -87,6 +90,9 @@ class TestResolveAbbreviation:
         [
             # definition lives in the previous sentence
             ("DDT", "Dichlorodiphenyltrichloroethane was studied. Later (DDT) appeared again."),
+            # the parenthesis opens a sentence: the sentence before it is empty
+            ("Cd", "We measured cadmium. (Cd) levels were high."),
+            ("Cd", "We measured cadmium!\n\t(Cd) levels were high."),
             # definition farther back than the word window
             ("TCDD", "Tetrachlorodibenzodioxin one two three four five six seven eight (TCDD)."),
             # no letter overlap with anything nearby
@@ -110,6 +116,29 @@ class TestResolveAbbreviation:
     def test_falls_through_to_a_later_occurrence(self):
         text = "An unrelated clause (AB) opens. Actual bromide (AB) follows."
         assert resolve_abbreviation("AB", text) == "Actual bromide"
+
+    def test_last_sentence_matches_the_split_oracle(self):
+        rng = random.Random(9)
+        alphabet = "ab .!?\n\t\u00a0()"
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            reversed_text = text[::-1]
+            for end in range(len(text) + 1):
+                assert _sentence_before(text, reversed_text, end) == oracle_last_sentence(
+                    text[:end]
+                ), (text, end)
+
+    def test_resolves_like_the_split_oracle_on_long_abstracts(self):
+        def split_sentence(text, reversed_text, end):
+            return oracle_last_sentence(text[:end])
+
+        rng = random.Random(10)
+        words = ("Cadmium", "cadmium", "dairy", "levels", "(Cd)", "Cd.", "e.g.", "milk!", "is?")
+        for _ in range(300):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 200)))
+            got = resolve_abbreviation("Cd", text)
+            with mock.patch.object(linker, "_sentence_before", split_sentence):
+                assert got == resolve_abbreviation("Cd", text), text
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,24 @@ gating, and never-crash behavior on arbitrary text."""
 
 from __future__ import annotations
 
+import random
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import (
+    SCAN_ALPHABET,
+    OracleUnterminated,
+    oracle_mapping_regions,
+    oracle_tokenize,
+    random_long_response,
+    random_scan_text,
+)
 from parser_fixtures import FIXTURES
+from hazardex import response_parser
 from hazardex.corpus import FoodSpec
 from hazardex.prompting import LlmResponse, PromptStyle
 from hazardex.response_parser import (
@@ -151,6 +164,106 @@ class TestTotality:
                 deduped[food] = kept
         literal = to_mapping_literal(make_candidate(deduped))
         assert extract_mapping_text(literal) == (deduped, WELL_FORMED)
+
+
+# --------------------------------------------------------------------------
+# scanners against the one-character-at-a-time oracles
+# --------------------------------------------------------------------------
+
+
+def tokens_or_failure(tokenize, src):
+    try:
+        return tokenize(src)
+    except (OracleUnterminated, response_parser._ParseFailure):
+        return "unterminated string"
+
+
+def _oracle_tokenize_for_parser(src):
+    try:
+        return oracle_tokenize(src)
+    except OracleUnterminated:
+        raise response_parser._ParseFailure("unterminated string") from None
+
+
+@contextmanager
+def oracle_scanners():
+    with mock.patch.object(response_parser, "_mapping_regions", oracle_mapping_regions), \
+            mock.patch.object(response_parser, "_tokenize", _oracle_tokenize_for_parser):
+        yield
+
+
+def assert_scans_like_the_oracles(text):
+    regions = response_parser._mapping_regions(text)
+    assert regions == oracle_mapping_regions(text)
+    for piece in [text] + [text[a:b] for a, b in regions]:
+        assert tokens_or_failure(response_parser._tokenize, piece) == tokens_or_failure(
+            oracle_tokenize, piece
+        ), piece
+    with oracle_scanners():
+        expected = extract_mapping_text(text)
+    assert extract_mapping_text(text) == expected
+
+
+class TestScannersMatchTheOracles:
+    def test_seeded_texts_over_the_special_alphabet(self):
+        rng = random.Random(8)
+        for _ in range(5000):
+            assert_scans_like_the_oracles(random_scan_text(rng, rng.randint(0, 40)))
+
+    @given(st.text(alphabet=SCAN_ALPHABET, max_size=80))
+    def test_generated_texts_over_the_special_alphabet(self, text):
+        assert_scans_like_the_oracles(text)
+
+    @given(st.text(max_size=120))
+    def test_any_text(self, text):
+        assert_scans_like_the_oracles(text)
+
+    @pytest.mark.parametrize("text", [f[1] for f in FIXTURES], ids=[f[0] for f in FIXTURES])
+    def test_every_fixture(self, text):
+        assert_scans_like_the_oracles(text)
+
+    def test_long_responses_with_prose_and_echoed_code(self):
+        rng = random.Random(88)
+        texts = [random_long_response(rng) for _ in range(150)]
+        assert min(len(t) for t in texts) > 500
+        for text in texts:
+            assert_scans_like_the_oracles(text)
+
+    @pytest.mark.parametrize(
+        "text,regions",
+        [
+            # an escaped quote does not close the string, so the brace inside
+            # it closes nothing
+            ("{'a': 'it\\'s } here'}", [(0, 21)]),
+            ('x {"k": "\\\\"} y', [(2, 13)]),
+            # a quote only opens a string after a delimiter
+            ("{it's: {'a': ['b']}}", [(7, 19), (0, 20)]),
+            # a string that never closes swallows the rest of the text
+            ("{'a': 'b} {}", []),
+        ],
+    )
+    def test_escapes_and_quote_rules(self, text, regions):
+        assert response_parser._mapping_regions(text) == regions
+        assert oracle_mapping_regions(text) == regions
+
+    @pytest.mark.parametrize(
+        "src,tokens",
+        [
+            ("{a b , }", [("{", "{"), ("str", "a b"), (",", ","), ("}", "}")]),
+            ("a \n\t ", [("str", "a")]),
+            (" \n", []),
+            ("'it\\'s' \"\\n\"", [("str", "it's"), ("str", "\n")]),
+            ("'\\q'", [("str", "q")]),
+        ],
+    )
+    def test_tokens(self, src, tokens):
+        assert response_parser._tokenize(src) == tokens
+        assert oracle_tokenize(src) == tokens
+
+    @pytest.mark.parametrize("src", ["'abc", "{'a': \"b}", "'ends in a backslash\\"])
+    def test_a_string_that_never_closes_is_a_parse_failure(self, src):
+        with pytest.raises(response_parser._ParseFailure, match="unterminated string"):
+            response_parser._tokenize(src)
 
 
 # --------------------------------------------------------------------------

@@ -8,20 +8,28 @@ number written on the other side of the word ("210-polonium"). Names are also
 pluralized with plain English rules. The index maps every generated surface
 back to one identifier, resolving cross-entry collisions deterministically.
 
-The saved index (format version 2) is UTF-8 JSON Lines: a header object with
-the format marker, version, dump checksum and build counts, then one array per
-identifier in ChEBI numeric order, `[chebi_id, preferred_name, [surfaces]]`,
-its surfaces sorted. The file is replaced atomically on save.
+The saved index (format version 3) is UTF-8 text. The first line is a JSON
+header: the format marker, version, dump checksum, build counts, the stoplist
+and the sha256 of everything after it. Then one tab-separated record per dump
+name the stoplist kept, `key letters, key digits, normalized name, numeric
+id, rank` (0 for a NAME row, 1 for a synonym), the records sorted as text;
+a blank line; and one `chebi_id<TAB>"preferred name"` line (the name as a
+JSON string) per identifier, in ChEBI numeric order. The file is replaced
+atomically on save.
 
-`LexiconIndex.load(path, wanted=...)` reads only what a caller will look up.
-A row without a backslash holds no escaped quote, so its surfaces are the
-pieces between `",["` and `"]]`, split on `","`; only rows sharing a piece
-with `wanted` are parsed as JSON, and rows with a backslash always are. Such
-an index knows only the identifiers that own a wanted surface and cannot be
-saved; when a lookup's raw string misses, the raw and normalized forms that
-lie outside `wanted` go to `unplanned`, for the caller to load again. Both
-loads check the header, the identifier and surface counts and every row, so
-a torn or cut file is an `IndexFormatError` either way.
+A name's spelling key is its letter runs joined and its digit runs in order.
+Separator changes and the swapped number keep it, and a plural only adds an
+ending to its letters, so from any surface a few candidate keys reach every
+name that can spell it. `LexiconIndex.load(path, wanted=...)` binary-searches
+the sorted records for those keys and expands only the names it finds; the
+surfaces go to their smallest `(rank, numeric id)` claimant, the build's rule,
+which does not depend on the order of the names. Such an index knows only the
+wanted surfaces and their owners and cannot be saved; when a lookup's raw
+string misses, the raw and normalized forms that lie outside `wanted` go to
+`unplanned`, for the caller to load again. The full load replays every record
+through the build's claim loop and checks the counts against the header.
+Both loads check the body against its checksum first, so a torn, cut or
+edited file is an `IndexFormatError` either way.
 """
 
 from __future__ import annotations
@@ -36,13 +44,14 @@ import os
 import re
 import unicodedata
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 _REBUILD = "rerun build-lexicon"
 
 _WS_RE = re.compile(r"\s+")
@@ -51,6 +60,7 @@ _WS_RE = re.compile(r"\s+")
 # is a variable separator position between a letter run and a digit run: a
 # lone space or hyphen between them, or the empty gap where the two touch.
 _DIGITS_RE = re.compile(r"\d+")
+_NON_LETTERS_RE = re.compile(r"[\W\d_]+")
 _SLOT_RE = re.compile(r"((?<=[^\W\d_])[ \-]?(?=\d)|(?<=\d)[ \-]?(?=[^\W\d_]))")
 # The word beside the digit run, left side preferred, joined by at most a slot.
 # The lookbehind starts a match only at a word's first letter, so a search does
@@ -255,40 +265,45 @@ class IndexStats:
 class LexiconIndex:
     """Immutable surface → identifier map with per-identifier display names.
 
-    `surfaces_by_id`, when given, is the same map grouped by identifier, as
-    `save` writes it; `build_index` has it for free, a loaded index does not.
-    `wanted` is set on an index loaded with it: it holds only the identifiers
-    that own one of those surfaces, so a miss on a form outside them is not
-    an answer, and the form lands in `unplanned` for the caller to load again.
+    `claims` maps each surface to the `(rank, numeric id, identifier)` claim
+    that won it. `records` are the sorted name records the claims came from,
+    and `stoplist` is the one they were expanded under; `save` writes both.
+    `wanted` is set on an index loaded with it: it holds only those surfaces
+    and the identifiers that own them, so a miss on a form outside them is
+    not an answer, and the form lands in `unplanned` for the caller to load
+    again.
     """
 
     def __init__(
         self,
-        surface_to_id: dict[str, str],
+        claims: dict[str, tuple[int, int, str]],
         id_to_name: dict[str, str],
         stats: IndexStats,
         source_checksum: str = "",
-        surfaces_by_id: dict[str, list[str]] | None = None,
+        records: list[str] | None = None,
+        stoplist: frozenset[str] = frozenset(),
         wanted: frozenset[str] | None = None,
     ):
-        self._surface_to_id = surface_to_id
+        self._claims = claims
         self._id_to_name = id_to_name
         self.stats = stats
         self.source_checksum = source_checksum
-        self._surfaces_by_id = surfaces_by_id
+        self._records = records
+        self._stoplist = stoplist
         self.wanted = wanted
         self.unplanned: set[str] = set()
 
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
         # the fallback pays the normalization cost only when needed.
-        hit = self._surface_to_id.get(surface)
-        if hit is not None:
-            return hit
+        claim = self._claims.get(surface)
+        if claim is not None:
+            return claim[2]
         key = normalize(surface)
         if self.wanted is not None:
             self.unplanned.update(s for s in (surface, key) if s not in self.wanted)
-        return self._surface_to_id.get(key)
+        claim = self._claims.get(key)
+        return None if claim is None else claim[2]
 
     def preferred_name(self, chebi_id: str) -> str:
         return self._id_to_name.get(chebi_id, chebi_id)
@@ -296,123 +311,226 @@ class LexiconIndex:
     def save(self, path: str | Path) -> None:
         """Write the artifact to a temp file beside `path`, then rename it over."""
         path = Path(path)
-        if self.wanted is not None:
+        if self._records is None:
             raise ValueError(f"not saving a partly loaded index over {path}")
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        names = b"".join(_encoded(
+            f"{chebi_id}\t{encode(self._id_to_name[chebi_id])}"
+            for chebi_id in sorted(self._id_to_name, key=chebi_numeric)
+        ))
+
+        def body() -> Iterator[bytes]:
+            # The records are encoded twice, for the checksum and for the file,
+            # rather than held a second time as bytes.
+            yield from _encoded(self._records)
+            yield b"\n"
+            yield names
+
+        digest = hashlib.sha256()
+        for chunk in body():
+            digest.update(chunk)
         header = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "source_sha256": self.source_checksum,
             **self.stats.as_dict(),
+            "stoplist": sorted(self._stoplist),
+            "body_sha256": digest.hexdigest(),
         }
-        by_id = self._surfaces_by_id
-        if by_id is None:
-            by_id = {chebi_id: [] for chebi_id in self._id_to_name}
-            for surface, chebi_id in self._surface_to_id.items():
-                by_id[chebi_id].append(surface)
-        encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
         tmp = path.with_name(path.name + ".tmp")
         try:
-            with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
-                for chebi_id in sorted(by_id, key=chebi_numeric):
-                    surfaces = sorted(by_id[chebi_id])
-                    fh.write(encode([chebi_id, self._id_to_name[chebi_id], surfaces]) + "\n")
+            with tmp.open("wb") as fh:
+                fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+                fh.write(b"\n")
+                fh.writelines(body())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, wanted: Iterable[str] | None = None) -> "LexiconIndex":
-        """Read a saved index; with `wanted`, only the rows owning one of those surfaces."""
+        """Read a saved index; with `wanted`, only the names that can spell those surfaces."""
         path = Path(path)
-        with path.open("r", encoding="utf-8") as fh:
-            try:
-                header = json.loads(fh.readline())
-                found = (header.get("format"), header.get("version"))
-            except (ValueError, AttributeError) as exc:
-                raise IndexFormatError(f"{path}: not an index artifact; {_REBUILD}") from exc
-            if found != (INDEX_FORMAT, INDEX_VERSION):
-                raise IndexFormatError(
-                    f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
-                    f"got {found[0]!r} v{found[1]!r}; {_REBUILD}"
-                )
+        header, blob, body_start, ids_start = _read_artifact(path)
+        stoplist = frozenset(header.get("stoplist", ()))
+        stats = IndexStats(
+            entry_count=header.get("entry_count"),
+            surface_count=header.get("surface_count"),
+            collisions=header.get("collisions", 0),
+            skipped_rows=header.get("skipped_rows", 0),
+        )
+        source_checksum = header.get("source_sha256", "")
+        try:
             if wanted is not None:
                 wanted = frozenset(wanted)
-                surface_to_id, id_to_name, body = _read_wanted_rows(path, fh, wanted)
-            else:
-                surface_to_id: dict[str, str] = {}
-                id_to_name: dict[str, str] = {}
-                try:
-                    for line in fh:
-                        chebi_id, name, surfaces = json.loads(line)
-                        id_to_name[chebi_id] = name
-                        surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
-                except (ValueError, TypeError) as exc:
-                    line_no = len(id_to_name) + 2
-                    raise IndexFormatError(
-                        f"{path}: bad row on line {line_no}; {_REBUILD}"
-                    ) from exc
-                body = (len(id_to_name), len(surface_to_id))
-        declared = (header.get("entry_count"), header.get("surface_count"))
-        if declared != body:
+                found = _spelling_records(blob, body_start, ids_start - 1, wanted)
+                claims, _ = _claim(found, stoplist)
+                claims = {s: claims[s] for s in wanted if s in claims}
+                id_to_name = {
+                    chebi_id: _preferred(blob, ids_start, chebi_id)
+                    for chebi_id in set(map(itemgetter(2), claims.values()))
+                }
+                return cls(claims, id_to_name, stats, source_checksum,
+                           stoplist=stoplist, wanted=wanted)
+            records = blob[body_start : ids_start - 1].decode("utf-8").split("\n")[:-1]
+            claims, _ = _claim(map(_parse_record, records), stoplist)
+            id_to_name = {}
+            for line in blob[ids_start:].decode("utf-8").split("\n")[:-1]:
+                chebi_id, name = line.split("\t")
+                id_to_name[chebi_id] = json.loads(name)
+        except (ValueError, TypeError) as exc:
+            raise IndexFormatError(f"{path}: bad record ({exc}); {_REBUILD}") from exc
+        declared = (stats.entry_count, stats.surface_count)
+        body = (len(id_to_name), len(claims))
+        if declared != body or id_to_name.keys() != set(map(itemgetter(2), claims.values())):
             raise IndexFormatError(
                 f"{path}: header declares {declared[0]} ids and {declared[1]} surfaces, "
                 f"body has {body[0]} and {body[1]}; {_REBUILD}"
             )
-        stats = IndexStats(
-            entry_count=body[0],
-            surface_count=body[1],
-            collisions=header.get("collisions", 0),
-            skipped_rows=header.get("skipped_rows", 0),
-        )
-        return cls(surface_to_id, id_to_name, stats, header.get("source_sha256", ""), wanted=wanted)
+        return cls(claims, id_to_name, stats, source_checksum, records, stoplist)
 
 
-def _surface_pieces(row: str) -> list[str] | None:
-    """A saved row's surfaces, split without parsing; None when it needs a parse.
+def _spelling_key(text: str) -> str:
+    """What every writing variant of a name keeps: its letter runs joined, a
+    tab, then its digit runs in order joined by commas."""
+    return _NON_LETTERS_RE.sub("", text) + "\t" + ",".join(_DIGITS_RE.findall(text))
 
-    Without a backslash no string in the row holds an escaped quote, so the
-    first `",["` ends the name, `","` only ever separates two surfaces, and
-    each piece is the surface itself.
+
+def _candidate_keys(surface: str) -> set[str]:
+    """The spelling keys of every name that can have `surface` among its surfaces.
+
+    Separators and the swapped number keep a name's key; a plural only adds
+    "s" or "es" to its letters, or turns a final "y" into "ies", so undoing
+    one such ending gives the key of the name it was made from.
     """
-    if row.startswith('["') and row.endswith('"]]') and "\\" not in row:
-        tail = row.partition('",["')[2]
-        if len(tail) >= 3:  # the opening `"` of the surfaces is not the closing one
-            return tail[:-3].split('","')
-    return None
+    letters = _NON_LETTERS_RE.sub("", surface)
+    stems = {letters}
+    if letters.endswith("s"):
+        stems.add(letters[:-1])
+        if letters.endswith("es"):
+            stems.add(letters[:-2])
+        if letters.endswith("ies"):
+            stems.add(letters[:-3] + "y")
+    digits = ",".join(_DIGITS_RE.findall(surface))
+    return {f"{stem}\t{digits}" for stem in stems}
 
 
-def _read_wanted_rows(
-    path: Path, fh: TextIO, wanted: frozenset[str]
-) -> tuple[dict[str, str], dict[str, str], tuple[int, int]]:
-    """The two maps over the rows sharing a surface with `wanted`, and the
-    row and surface counts of the whole body."""
-    surface_to_id: dict[str, str] = {}
-    id_to_name: dict[str, str] = {}
+def _record(normalized: str, numeric: int, rank: int) -> str:
+    # A normalized name holds no tab or newline: `normalize` folds all whitespace.
+    return f"{_spelling_key(normalized)}\t{normalized}\t{numeric}\t{rank}"
+
+
+def _parse_record(record: str) -> tuple[str, int, int]:
+    _, _, normalized, numeric, rank = record.split("\t")
+    return normalized, int(numeric), int(rank)
+
+
+def _spelling_records(
+    blob: bytes, lo: int, hi: int, wanted: frozenset[str]
+) -> list[tuple[str, int, int]]:
+    """The records among the sorted ones in `blob[lo:hi]` of every name that
+    can spell one of the `wanted` surfaces."""
+    found: set[bytes] = set()
+    for form in wanted:
+        for key in _candidate_keys(form):
+            prefix = f"{key}\t".encode("utf-8")
+            pos = _bisect_lines(blob, lo, hi, prefix.__gt__)
+            while pos < hi and blob.startswith(prefix, pos):
+                end = blob.index(b"\n", pos)
+                found.add(blob[pos:end])
+                pos = end + 1
+    return [_parse_record(line.decode("utf-8")) for line in found]
+
+
+def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
+    """`lines`, each ended by a newline, UTF-8 encoded a few thousand at a time."""
+    it = iter(lines)
+    while chunk := list(itertools.islice(it, 4096)):
+        chunk.append("")
+        yield "\n".join(chunk).encode("utf-8")
+
+
+def _bisect_lines(blob: bytes, lo: int, hi: int, before) -> int:
+    """Offset of the first line of the sorted, newline-ended lines in
+    `blob[lo:hi]` that `before` does not hold for; `hi` if there is none.
+
+    UTF-8 keeps code point order, so lines sorted as text are sorted as bytes.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start = max(lo, blob.rfind(b"\n", lo, mid) + 1)
+        end = blob.index(b"\n", start)
+        if before(blob[start:end]):
+            lo = end + 1
+        else:
+            hi = start
+    return lo
+
+
+def _preferred(blob: bytes, ids_start: int, chebi_id: str) -> str:
+    """The preferred name on the identifier line of `chebi_id`."""
+    numeric = chebi_numeric(chebi_id)
+    pos = _bisect_lines(blob, ids_start, len(blob), lambda line: _line_numeric(line) < numeric)
+    end = blob.find(b"\n", pos)
+    if end < 0 or _line_numeric(blob[pos:end]) != numeric:
+        raise ValueError(f"no name line for {chebi_id}")
+    return json.loads(blob[pos:end].partition(b"\t")[2])
+
+
+def _line_numeric(line: bytes) -> int:
+    return chebi_numeric(line[: line.index(b"\t")].decode("utf-8"))
+
+
+def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
+    """The header and bytes of a saved index whose body matches its checksum,
+    with the offsets where its name records and its identifier lines start."""
+    blob = path.read_bytes()
+    body_start = blob.find(b"\n") + 1
     try:
-        rows = fh.read().split("\n")
-    except ValueError as exc:
-        raise IndexFormatError(f"{path}: not UTF-8 text; {_REBUILD}") from exc
-    if rows[-1] == "":
-        rows.pop()
-    surface_count = 0
-    for line_no, row in enumerate(rows, start=2):
-        pieces = _surface_pieces(row)
-        if pieces is not None:
-            surface_count += len(pieces)
-            if wanted.isdisjoint(pieces):
-                continue
-        try:
-            chebi_id, name, surfaces = json.loads(row)
-            if pieces is None:
-                surface_count += len(surfaces)
-                if wanted.isdisjoint(surfaces):
-                    continue
-            id_to_name[chebi_id] = name
-            surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
-        except (ValueError, TypeError) as exc:
-            raise IndexFormatError(f"{path}: bad row on line {line_no}; {_REBUILD}") from exc
-    return surface_to_id, id_to_name, (len(rows), surface_count)
+        header = json.loads(blob[:body_start])
+        found = (header.get("format"), header.get("version"))
+    except (ValueError, AttributeError) as exc:
+        raise IndexFormatError(f"{path}: not an index artifact; {_REBUILD}") from exc
+    if found != (INDEX_FORMAT, INDEX_VERSION):
+        raise IndexFormatError(
+            f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
+            f"got {found[0]!r} v{found[1]!r}; {_REBUILD}"
+        )
+    body = memoryview(blob)[body_start:]
+    if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
+        raise IndexFormatError(f"{path}: body does not match its checksum; {_REBUILD}")
+    ids_start = blob.find(b"\n\n", body_start) + 2
+    if ids_start < 2 or not blob.endswith(b"\n"):
+        raise IndexFormatError(f"{path}: no identifier section; {_REBUILD}")
+    return header, blob, body_start, ids_start
+
+
+def _claim(
+    records: Iterable[tuple[str, int, int]], stoplist: frozenset[str]
+) -> tuple[dict[str, tuple[int, int, str]], int]:
+    """Give every surface of every `(normalized name, numeric id, rank)` record
+    to its smallest `(rank, numeric id)` claimant, whatever the record order;
+    also count the claims that met another identifier's, which does depend
+    on the order."""
+    claims: dict[str, tuple[int, int, str]] = {}
+    ids: dict[int, str] = {}
+    collisions = 0
+    for normalized, numeric, rank in records:
+        chebi_id = ids.get(numeric) or ids.setdefault(numeric, f"CHEBI:{numeric}")
+        claim = (rank, numeric, chebi_id)
+        surfaces = _surfaces(normalized) - stoplist
+        surfaces.discard("")
+        contested = claims.keys() & surfaces
+        for surface in contested:
+            current = claims[surface]
+            if current[2] != chebi_id:
+                collisions += 1
+                log.debug("surface %r claimed by %s and %s", surface, current[2], chebi_id)
+            if claim < current:  # the numeric id decides the identifier
+                claims[surface] = claim
+        surfaces -= contested
+        claims.update(dict.fromkeys(surfaces, claim))
+    return claims, collisions
 
 
 def build_index(
@@ -427,51 +545,40 @@ def build_index(
     Pipeline per row: stoplist filter, normalize, numeric-variant expansion,
     pluralization, insert. When two chemicals claim one surface, the claim
     backed by a primary NAME row beats synonym claims, then the numerically
-    smaller identifier wins; every collision is counted.
+    smaller identifier wins; every collision is counted. Identifiers come
+    out as `CHEBI:<int>`.
     """
-    claims: dict[str, tuple[int, int, str]] = {}
-    owned: dict[str, list[str]] = {}
-    preferred: dict[str, tuple[int, str]] = {}
-    collisions = 0
-    for chebi_id, name, name_type in rows:
-        normalized = normalize(name)
-        if normalized in stoplist:
-            continue
-        rank = 0 if name_type == "NAME" else 1
-        if rank < preferred.get(chebi_id, (2,))[0]:
-            preferred[chebi_id] = (rank, name)
-        claim = (rank, chebi_numeric(chebi_id), chebi_id)
-        mine = owned.setdefault(chebi_id, [])
-        surfaces = _surfaces(normalized) - stoplist
-        surfaces.discard("")
-        contested = claims.keys() & surfaces
-        for surface in contested:
-            current = claims[surface]
-            if current[2] != chebi_id:
-                collisions += 1
-                log.debug("surface %r claimed by %s and %s", surface, current[2], chebi_id)
-            if claim[:2] < current[:2]:
-                claims[surface] = claim
-                owned[current[2]].remove(surface)
-                mine.append(surface)
-        surfaces -= contested
-        claims.update(dict.fromkeys(surfaces, claim))
-        mine.extend(surfaces)
+    records: list[str] = []
+    preferred: dict[int, tuple[int, str]] = {}
+
+    def named() -> Iterator[tuple[str, int, int]]:
+        for chebi_id, name, name_type in rows:
+            normalized = normalize(name)
+            if normalized in stoplist:
+                continue
+            rank = 0 if name_type == "NAME" else 1
+            numeric = chebi_numeric(chebi_id)
+            if rank < preferred.get(numeric, (2,))[0]:
+                preferred[numeric] = (rank, name)
+            records.append(_record(normalized, numeric, rank))
+            yield normalized, numeric, rank
+
+    # Claimed in dump order: the collision count depends on it.
+    claims, collisions = _claim(named(), stoplist)
     if not claims:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
-    surfaces_by_id = {chebi_id: surfaces for chebi_id, surfaces in owned.items() if surfaces}
-    # Overwrite each claim with its identifier in place: no second 1M-entry dict.
-    surface_to_id: dict[str, str] = claims  # type: ignore[assignment]
-    for chebi_id, surfaces in surfaces_by_id.items():
-        surface_to_id.update(dict.fromkeys(surfaces, chebi_id))
-    id_to_name = {chebi_id: preferred[chebi_id][1] for chebi_id in surfaces_by_id}
+    records.sort()
+    id_to_name = {
+        chebi_id: preferred[chebi_numeric(chebi_id)][1]
+        for chebi_id in set(map(itemgetter(2), claims.values()))
+    }
     stats = IndexStats(
         entry_count=len(id_to_name),
-        surface_count=len(surface_to_id),
+        surface_count=len(claims),
         collisions=collisions,
         skipped_rows=parse_stats.skipped if parse_stats else 0,
     )
-    return LexiconIndex(surface_to_id, id_to_name, stats, source_checksum, surfaces_by_id)
+    return LexiconIndex(claims, id_to_name, stats, source_checksum, records, stoplist)
 
 
 def file_sha256(path: str | Path) -> str:

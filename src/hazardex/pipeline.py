@@ -63,7 +63,6 @@ from .prompting import (
     PromptStyle,
     ResponseStore,
     complete_lines,
-    cut_torn_tail,
     load_template,
     run_extraction,
 )
@@ -111,9 +110,16 @@ def _hash_obj(obj) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write `obj` to a temp file beside `path`, then rename it over: a crash
+    leaves the previous file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_json(path: Path):
@@ -295,15 +301,30 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
     raw_path = area / "raw_records.jsonl"
     state_path = area / "fetch_state.json"
     state_sig = _hash_obj(signature)
-    state = _read_json(state_path) if state_path.exists() else {}
+    try:
+        state = _read_json(state_path)
+    except FileNotFoundError:
+        state = {}
+    except json.JSONDecodeError:
+        log.warning("fetch: %s is unreadable, fetching from the start", state_path)
+        state = {}
     raw_done = state.get("signature") == state_sig and state.get("done")
     if not raw_done:
-        if state.get("signature") == state_sig and state.get("next_cursor"):
+        # `raw_bytes` is the length of the cache after the last page the state
+        # covers: a page appended after it, whole or torn, is cut and fetched again.
+        raw_bytes = state.get("raw_bytes")
+        if (
+            state.get("signature") == state_sig
+            and state.get("next_cursor")
+            and isinstance(raw_bytes, int)
+            and raw_path.exists()
+            and raw_path.stat().st_size >= raw_bytes
+        ):
             cursor = state["next_cursor"]
             mode = "a"
             log.info("fetch: resuming from cursor %r", cursor)
-            with raw_path.open("a+b") as fh:
-                cut_torn_tail(fh, raw_path)
+            with raw_path.open("r+b") as fh:
+                fh.truncate(raw_bytes)
         else:
             cursor = FIRST_CURSOR
             mode = "w"
@@ -314,22 +335,27 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
             max_retries=cfg.max_retries,
         )
         with raw_path.open(mode, encoding="utf-8", newline="\n") as fh:
+
+            def save_state(next_cursor) -> None:
+                fh.flush()
+                _write_json(
+                    state_path,
+                    {
+                        "signature": state_sig,
+                        "next_cursor": next_cursor,
+                        "raw_bytes": os.fstat(fh.fileno()).st_size,
+                        "done": False,
+                    },
+                )
+
             try:
                 for page in client.iter_pages(query.rendered, cursor):
                     for raw in page.records:
                         fh.write(json.dumps(_raw_to_dict(raw), ensure_ascii=False, sort_keys=True))
                         fh.write("\n")
-                    fh.flush()
-                    nxt = page.next_cursor or page.cursor
-                    _write_json(
-                        state_path,
-                        {"signature": state_sig, "next_cursor": nxt, "done": False},
-                    )
+                    save_state(page.next_cursor or page.cursor)
             except (FetchError, DecodeError) as exc:
-                _write_json(
-                    state_path,
-                    {"signature": state_sig, "next_cursor": exc.cursor, "done": False},
-                )
+                save_state(exc.cursor)
                 raise PipelineError(
                     f"fetch stopped at cursor {exc.cursor!r}: {exc}; rerun to resume"
                 ) from exc
@@ -545,9 +571,9 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         gated = gate_by_food(candidate, food)
         dropped_by_gating += len(candidate.food_terms) - len(gated.food_terms)
         gated_pairs.append((gated, record))
-    # Load only the rows these hazards can hit; `lookup` tries the raw string
-    # before its normalized form. An abbreviation expansion is known only once
-    # its lookup has missed, so one that falls outside gets a second load.
+    # Load only the names that can spell these hazards; `lookup` tries the raw
+    # string before its normalized form. An abbreviation expansion is known only
+    # once its lookup has missed, so one that falls outside gets a second load.
     wanted = {
         form
         for gated, _ in gated_pairs

@@ -157,76 +157,81 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self._tokens = tokens
-        self._pos = 0
+# Ends every token list the parser reads: its kind matches nothing the parser
+# expects, so a mapping cut short fails where it ends, without a bounds check.
+_END = ("end", "")
 
-    def _peek(self) -> str:
-        if self._pos >= len(self._tokens):
-            raise _ParseFailure("unexpected end of mapping")
-        return self._tokens[self._pos][0]
 
-    def _take(self, expected: str | None = None) -> tuple[str, str]:
-        kind = self._peek()
-        if expected is not None and kind != expected:
-            raise _ParseFailure(f"expected {expected!r}, found {kind!r}")
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
+def _parse_region(src: str) -> list[tuple[str, object]]:
+    """The pairs of the one mapping that the region `src` holds."""
+    tokens = _tokenize(src)
+    tokens.append(_END)
+    pairs, pos = _parse_mapping(tokens, 0, depth=0)
+    if pos != len(tokens) - 1:
+        raise _ParseFailure("trailing tokens inside mapping region")
+    return pairs
 
-    def finished(self) -> bool:
-        return self._pos == len(self._tokens)
 
-    def parse_mapping(self, depth: int) -> list[tuple[str, object]]:
-        self._take("{")
-        pairs: list[tuple[str, object]] = []
-        if self._peek() == "}":
-            self._take()
-            return pairs
-        while True:
-            key = self._take("str")[1]
-            self._take(":")
-            pairs.append((key, self._parse_value(depth)))
-            kind = self._take()[0]
-            if kind == ",":
-                if self._peek() == "}":
-                    self._take()
-                    return pairs
-                continue
-            if kind == "}":
-                return pairs
-            raise _ParseFailure(f"expected ',' or '}}', found {kind!r}")
-
-    def _parse_value(self, depth: int):
-        kind = self._peek()
+def _parse_mapping(
+    tokens: list[tuple[str, str]], pos: int, depth: int
+) -> tuple[list[tuple[str, object]], int]:
+    """The pairs of the mapping opening at `tokens[pos]`, and the position after it."""
+    if tokens[pos][0] != "{":
+        raise _ParseFailure(f"expected '{{', found {tokens[pos][0]!r}")
+    pos += 1
+    pairs: list[tuple[str, object]] = []
+    if tokens[pos][0] == "}":
+        return pairs, pos + 1
+    while True:
+        kind, key = tokens[pos]
+        if kind != "str" or tokens[pos + 1][0] != ":":
+            raise _ParseFailure(f"expected a key and ':' at token {pos}")
+        kind, text = tokens[pos + 2]
         if kind == "str":
-            return ("str", self._take()[1])
-        if kind == "[":
-            return ("list", self._parse_list())
-        if kind == "{":
+            value: tuple[str, object] = ("str", text)
+            pos += 3
+        elif kind == "[":
+            items, pos = _parse_list(tokens, pos + 2)
+            value = ("list", items)
+        elif kind == "{":
             if depth >= 1:
                 raise _ParseFailure("mapping nested deeper than one level")
-            return ("map", self.parse_mapping(depth + 1))
-        raise _ParseFailure(f"unexpected value token {kind!r}")
+            inner, pos = _parse_mapping(tokens, pos + 2, depth + 1)
+            value = ("map", inner)
+        else:
+            raise _ParseFailure(f"unexpected value token {kind!r}")
+        pairs.append((key, value))
+        kind = tokens[pos][0]
+        pos += 1
+        if kind == ",":
+            if tokens[pos][0] == "}":
+                return pairs, pos + 1
+            continue
+        if kind == "}":
+            return pairs, pos
+        raise _ParseFailure(f"expected ',' or '}}', found {kind!r}")
 
-    def _parse_list(self) -> list[str]:
-        self._take("[")
-        items: list[str] = []
-        if self._peek() == "]":
-            self._take()
-            return items
-        while True:
-            items.append(self._take("str")[1])
-            kind = self._take()[0]
-            if kind == ",":
-                if self._peek() == "]":
-                    self._take()
-                    return items
-                continue
-            if kind == "]":
-                return items
-            raise _ParseFailure(f"expected ',' or ']', found {kind!r}")
+
+def _parse_list(tokens: list[tuple[str, str]], pos: int) -> tuple[list[str], int]:
+    """The strings of the list opening at `tokens[pos]`, and the position after it."""
+    pos += 1
+    items: list[str] = []
+    if tokens[pos][0] == "]":
+        return items, pos + 1
+    while True:
+        kind, item = tokens[pos]
+        if kind != "str":
+            raise _ParseFailure(f"expected 'str', found {kind!r}")
+        items.append(item)
+        kind = tokens[pos + 1][0]
+        pos += 2
+        if kind == ",":
+            if tokens[pos][0] == "]":
+                return items, pos + 1
+            continue
+        if kind == "]":
+            return items, pos
+        raise _ParseFailure(f"expected ',' or ']', found {kind!r}")
 
 
 def _assemble(pairs: list[tuple[str, object]]) -> tuple[dict[str, list[str]], bool]:
@@ -287,10 +292,7 @@ def extract_mapping_text(text: str) -> tuple[dict[str, list[str]], str]:
         if any(fs <= start and end <= fe for fs, fe in failed):
             continue
         try:
-            parser = _Parser(_tokenize(text[start:end]))
-            pairs = parser.parse_mapping(depth=0)
-            if not parser.finished():
-                raise _ParseFailure("trailing tokens inside mapping region")
+            pairs = _parse_region(text[start:end])
         except _ParseFailure:
             failed.append((start, end))
             continue

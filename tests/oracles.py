@@ -4,7 +4,8 @@ These are deliberately written from the rules, not from the package sources:
 a character-class decomposition via itertools.groupby instead of the regex
 scanner, and dict folding instead of the production aggregation. The
 response scanners are the parser's earlier one-character-at-a-time loops,
-kept as the reference for the `str.find` and regex versions. Tests assert
+kept as the reference for the `str.find` and regex versions, and the
+mapping parser is its earlier method-per-token version. Tests assert
 set-for-set / row-for-row equality between package output and these oracles.
 """
 
@@ -129,6 +130,24 @@ def oracle_expand(name: str) -> set[str]:
     else:
         out |= _single_substitutions(chunks)
     return out
+
+
+def oracle_spelling_key(name: str) -> tuple[str, tuple[str, ...]]:
+    """Reference for the lexicon's spelling key: the letters of the name in
+    order (a letter is a word character that is neither a decimal digit nor
+    "_", so "²" counts), and its runs of decimal digits in order."""
+    def kind(ch: str) -> str:
+        if ch.isdecimal():
+            return "d"
+        return "a" if ch.isalnum() else "o"
+
+    letters, digits = [], []
+    for k, group in groupby(name, key=kind):
+        if k == "a":
+            letters.append("".join(group))
+        elif k == "d":
+            digits.append("".join(group))
+    return "".join(letters), tuple(digits)
 
 
 _ALPHA_FRAGMENTS = (
@@ -335,6 +354,94 @@ def oracle_tokenize(src: str) -> list[tuple[str, str]]:
         tokens.append(("str", src[i:j].strip()))
         i = j
     return tokens
+
+
+class OracleParseFailure(Exception):
+    """The oracle parser met tokens that do not make a mapping."""
+
+
+class OracleParser:
+    """The parser's earlier method-per-token recursive descent over a token list."""
+
+    def __init__(self, tokens: list[tuple[str, str]]):
+        self._tokens = tokens
+        self._pos = 0
+
+    def _peek(self) -> str:
+        if self._pos >= len(self._tokens):
+            raise OracleParseFailure("unexpected end of mapping")
+        return self._tokens[self._pos][0]
+
+    def _take(self, expected: str | None = None) -> tuple[str, str]:
+        kind = self._peek()
+        if expected is not None and kind != expected:
+            raise OracleParseFailure(f"expected {expected!r}, found {kind!r}")
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def finished(self) -> bool:
+        return self._pos == len(self._tokens)
+
+    def parse_mapping(self, depth: int) -> list[tuple[str, object]]:
+        self._take("{")
+        pairs: list[tuple[str, object]] = []
+        if self._peek() == "}":
+            self._take()
+            return pairs
+        while True:
+            key = self._take("str")[1]
+            self._take(":")
+            pairs.append((key, self._parse_value(depth)))
+            kind = self._take()[0]
+            if kind == ",":
+                if self._peek() == "}":
+                    self._take()
+                    return pairs
+                continue
+            if kind == "}":
+                return pairs
+            raise OracleParseFailure(f"expected ',' or '}}', found {kind!r}")
+
+    def _parse_value(self, depth: int):
+        kind = self._peek()
+        if kind == "str":
+            return ("str", self._take()[1])
+        if kind == "[":
+            return ("list", self._parse_list())
+        if kind == "{":
+            if depth >= 1:
+                raise OracleParseFailure("mapping nested deeper than one level")
+            return ("map", self.parse_mapping(depth + 1))
+        raise OracleParseFailure(f"unexpected value token {kind!r}")
+
+    def _parse_list(self) -> list[str]:
+        self._take("[")
+        items: list[str] = []
+        if self._peek() == "]":
+            self._take()
+            return items
+        while True:
+            items.append(self._take("str")[1])
+            kind = self._take()[0]
+            if kind == ",":
+                if self._peek() == "]":
+                    self._take()
+                    return items
+                continue
+            if kind == "]":
+                return items
+            raise OracleParseFailure(f"expected ',' or ']', found {kind!r}")
+
+
+def oracle_parse_region(tokens: list[tuple[str, str]]) -> list[tuple[str, object]] | None:
+    """The pairs of the one mapping the tokens make, or None when they make none."""
+    parser = OracleParser(tokens)
+    try:
+        pairs = parser.parse_mapping(depth=0)
+    except OracleParseFailure:
+        return None
+    return pairs if parser.finished() else None
 
 
 def oracle_last_sentence(preceding: str) -> str:

@@ -31,6 +31,10 @@ from hazardex.prompting import PromptStyle
 runner = CliRunner()
 
 
+class _Crash(Exception):
+    """Stands in for the process dying at an injected point."""
+
+
 def invoke(*args, **kwargs):
     return runner.invoke(main, [str(a) for a in args], catch_exceptions=False, **kwargs)
 
@@ -197,6 +201,77 @@ class TestFetchCommand:
         raw_lines = raw_path.read_bytes().split(b"\n")
         assert raw_lines[-1] == b""
         assert len([json.loads(line) for line in raw_lines[:-1]]) == 25
+
+    def test_crash_while_writing_the_fetch_state_keeps_the_previous_state(
+        self, tmp_path, stub_api, monkeypatch
+    ):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        dump = json.dump
+        states = []
+
+        def torn_dump(obj, fh, **kwargs):
+            if isinstance(obj, dict) and "next_cursor" in obj:
+                states.append(obj)
+                if len(states) == 2:  # the state after the second page
+                    fh.write(json.dumps(obj, **kwargs)[:12])
+                    raise _Crash
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(_Crash):
+            invoke("--config", config, "fetch")
+        monkeypatch.undo()
+        state = json.loads((workdir / "abstracts" / "fetch_state.json").read_text("utf-8"))
+        assert state["next_cursor"] == "c10"
+        assert sorted(p.name for p in (workdir / "abstracts").iterdir()) == [
+            "fetch_state.json", "raw_records.jsonl"]
+
+        healed = invoke("--config", config, "fetch")
+        assert healed.exit_code == 0, healed.output
+        assert "raw=25" in healed.output and "duplicates=0" in healed.output
+        assert [req["cursorMark"] for req in stub.requests] == ["*", "c10", "c10", "c20"]
+
+    def test_crash_between_a_page_and_its_state_fetches_that_page_once(
+        self, tmp_path, stub_api, monkeypatch
+    ):
+        import hazardex.pipeline
+
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        write_json = hazardex.pipeline._write_json
+        states = []
+
+        def crash_before_the_second_state(path, obj):
+            if path.name == "fetch_state.json":
+                states.append(obj)
+                if len(states) == 2:  # the second page is in the cache, its state is not
+                    raise _Crash
+            write_json(path, obj)
+
+        monkeypatch.setattr(hazardex.pipeline, "_write_json", crash_before_the_second_state)
+        with pytest.raises(_Crash):
+            invoke("--config", config, "fetch")
+        monkeypatch.undo()
+        raw_path = workdir / "abstracts" / "raw_records.jsonl"
+        assert len(raw_path.read_bytes().splitlines()) == 20
+
+        healed = invoke("--config", config, "fetch")
+        assert healed.exit_code == 0, healed.output
+        assert "raw=25" in healed.output and "duplicates=0" in healed.output
+        sources = [json.loads(line)["source_id"] for line in raw_path.read_bytes().splitlines()]
+        assert len(sources) == len(set(sources)) == 25
+
+    def test_unreadable_fetch_state_fetches_from_the_start(self, tmp_path, stub_api):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        stub.fail_plan.extend([None, 404])
+        assert invoke("--config", config, "fetch").exit_code == 2
+        (workdir / "abstracts" / "fetch_state.json").write_text('{"signature": "ab', "utf-8")
+
+        healed = invoke("--config", config, "fetch")
+        assert healed.exit_code == 0, healed.output
+        assert "raw=25" in healed.output and "duplicates=0" in healed.output
 
     def test_torn_last_raw_record_of_a_finished_fetch_is_left_out(self, tmp_path, stub_api):
         stub = stub_api([provider_record(i) for i in range(25)])

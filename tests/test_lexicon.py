@@ -7,14 +7,19 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CHEBI_ROWS, write_chebi_tsv
 from oracles import (
     oracle_expand,
     oracle_pluralize,
+    oracle_spelling_key,
     random_digit_name,
     random_surface_name,
 )
@@ -22,6 +27,9 @@ from hazardex.lexicon import (
     INDEX_VERSION,
     IndexFormatError,
     LexiconIndex,
+    _candidate_keys,
+    _spelling_key,
+    _surfaces,
     LexiconSourceError,
     ParseStats,
     build_index,
@@ -327,6 +335,23 @@ class TestBuildIndex:
 # --------------------------------------------------------------------------
 
 
+def _read_body(path):
+    """A saved index read by hand: its header, its name records as
+    `(key letters, key digits, name, numeric id, rank)` string tuples, and
+    its identifier lines as an ordered identifier → preferred name dict."""
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    records, ids = body.decode("utf-8").split("\n\n")
+    names = {}
+    for line in ids.split("\n")[:-1]:
+        chebi_id, name = line.split("\t")
+        names[chebi_id] = json.loads(name)
+    return json.loads(header_line), [tuple(line.split("\t")) for line in records.split("\n")], names
+
+
+def _oracle_surfaces(name):
+    return set().union(*map(oracle_pluralize, oracle_expand(name)))
+
+
 class TestIndexPersistence:
     def test_save_then_load_preserves_lookups_and_stats(self, lexicon_index, tmp_path):
         path = tmp_path / "index.jsonl"
@@ -362,23 +387,27 @@ class TestIndexPersistence:
 
         claims: dict[str, list[tuple[int, int, str]]] = {}
         preferred: dict[str, tuple[int, int, str]] = {}
+        records = []
         for position, (chebi_id, name, name_type) in enumerate(rows):
             if normalize(name) in stoplist:
                 continue
             rank = 0 if name_type == "NAME" else 1
             preferred[chebi_id] = min(preferred.get(chebi_id, (2,)), (rank, position, name))
-            surfaces = set().union(*map(oracle_pluralize, oracle_expand(normalize(name))))
-            for surface in surfaces - stoplist:
+            letters, digits = oracle_spelling_key(normalize(name))
+            records.append((letters, ",".join(digits), normalize(name),
+                            str(chebi_numeric(chebi_id)), str(rank)))
+            for surface in _oracle_surfaces(normalize(name)) - stoplist:
                 claims.setdefault(surface, []).append((rank, chebi_numeric(chebi_id), chebi_id))
         expected = {surface: min(claimants)[2] for surface, claimants in claims.items()}
-        lines = paths[0].read_text(encoding="utf-8").splitlines()
-        saved, names = {}, {}
-        for chebi_id, name, surfaces in map(json.loads, lines[1:]):
-            saved.update(dict.fromkeys(surfaces, chebi_id))
-            names[chebi_id] = name
-        assert saved == expected
-        assert names == {chebi_id: preferred[chebi_id][2] for chebi_id in names}
-        assert json.loads(lines[0])["surface_count"] == len(expected)
+
+        header, saved_records, names = _read_body(paths[0])
+        assert saved_records == sorted(records, key="\t".join)
+        assert names == {chebi_id: preferred[chebi_id][2] for chebi_id in set(expected.values())}
+        assert header["surface_count"] == len(expected)
+        assert header["stoplist"] == sorted(stoplist)
+        loaded = LexiconIndex.load(paths[0])
+        assert {surface: loaded.lookup(surface) for surface in expected} == expected
+        assert loaded.stats.surface_count == len(expected)
         contested = [c for c in claims.values() if len({chebi_id for *_, chebi_id in c}) > 1]
         assert len(contested) > 100
         assert any({rank for rank, *_ in c} == {0, 1} for c in contested)
@@ -393,16 +422,17 @@ class TestIndexPersistence:
     def test_body_has_one_row_per_identifier(self, lexicon_index, tmp_path):
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-        assert len(rows) == lexicon_index.stats.entry_count
-        assert sum(len(surfaces) for _, _, surfaces in rows) == lexicon_index.stats.surface_count
-        assert [chebi_numeric(chebi_id) for chebi_id, _, _ in rows] == sorted(
-            chebi_numeric(chebi_id) for chebi_id, _, _ in rows
-        )
-        cadmium = next(row for row in rows if row[0] == "CHEBI:28628")
-        assert cadmium[1] == "cadmium"
-        assert cadmium[2] == sorted(cadmium[2])
-        assert {"cadmium", "cadmiums", "cd"} <= set(cadmium[2])
+        header, records, names = _read_body(path)
+        assert len(names) == lexicon_index.stats.entry_count == header["entry_count"]
+        assert list(map(chebi_numeric, names)) == sorted(map(chebi_numeric, names))
+        assert names["CHEBI:28628"] == "cadmium"
+        # One record per dump name that the stoplist keeps, sorted by spelling key.
+        kept = [(n, t) for i, t, n in CHEBI_ROWS if normalize(n) not in default_stoplist()]
+        assert len(records) == len(kept) == len(CHEBI_ROWS) - 1
+        assert records == sorted(records, key="\t".join)
+        assert ("cadmium", "", "cadmium", "28628", "0") in records
+        assert ("cd", "", "cd", "28628", "1") in records
+        assert ("aflatoxinm", "1", "aflatoxin m1", "27744", "0") in records
 
     def test_round_trip_keeps_unusual_surfaces_and_is_byte_stable(self, tmp_path):
         idx = small_index([
@@ -426,35 +456,50 @@ class TestIndexPersistence:
         assert first.read_bytes() == second.read_bytes()
         assert "β-Carotène".encode("utf-8") in first.read_bytes()
 
+    @pytest.mark.parametrize("wanted", [None, {"next line", "line sep toxin", 'say "x" \\ y'}],
+                             ids=["full", "restricted"])
+    def test_names_with_line_breaks_quotes_and_backslashes_round_trip(self, tmp_path, wanted):
+        # NEL and LINE SEPARATOR end a line for `str.splitlines`, not for the file.
+        rows = [("CHEBI:40", "Next\x85line", "NAME"), ("CHEBI:41", "line\u2028sep toxin", "NAME"),
+                ("CHEBI:42", 'say "x" \\ y', "NAME"), ("CHEBI:43", "plain", "NAME")]
+        path = tmp_path / "index.jsonl"
+        small_index(rows).save(path)
+        assert path.read_bytes().count(b"\n") == 1 + len(rows) + 1 + len(rows)
+        loaded = LexiconIndex.load(path, wanted=wanted)
+        for chebi_id, name, _ in rows[:3]:
+            assert loaded.lookup(normalize(name)) == chebi_id
+            assert loaded.preferred_name(chebi_id) == name
+
     def test_failed_save_leaves_the_previous_file_intact(self, lexicon_index, tmp_path,
                                                           monkeypatch):
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
         before = path.read_bytes()
-        encode = json.JSONEncoder.encode
-        calls = []
+        written = []
 
-        def fail_on_third_row(self, obj):
-            calls.append(obj)
-            if len(calls) == 4:  # the header, then two rows, then the failure
-                raise OSError("disk full")
-            return encode(self, obj)
+        def fail_instead_of_renaming(src, dst):
+            written.append(Path(src).read_bytes())
+            raise OSError("disk full")
 
-        monkeypatch.setattr(json.JSONEncoder, "encode", fail_on_third_row)
+        monkeypatch.setattr(os, "replace", fail_instead_of_renaming)
         replacement = small_index([("CHEBI:1", "patulin", "NAME")] * 2
                                   + [("CHEBI:2", "benzene", "NAME"), ("CHEBI:3", "lead", "NAME")])
         with pytest.raises(OSError, match="disk full"):
             replacement.save(path)
-        assert len(calls) == 4
+        monkeypatch.undo()
+        assert len(written) == 1 and written[0] != before  # the temp file held the new index
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
+        replacement.save(path)
+        assert path.read_bytes() == written[0]
 
     @pytest.mark.parametrize(
         "cut,wanted",
         [
             pytest.param(cut, wanted, id=cut if wanted is None else f"{cut}-restricted")
             for wanted in (None, {"cadmium", "benzene"})
-            for cut in ("torn_line", "line_boundary", "garbage_row", "torn_brackets")
+            for cut in ("torn_line", "line_boundary", "garbage_row", "torn_brackets",
+                        "edited_rank")
         ],
     )
     def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut, wanted):
@@ -465,13 +510,29 @@ class TestIndexPersistence:
             body = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
         elif cut == "line_boundary":
             body = b"".join(lines[:-1])
-        elif cut == "torn_brackets":  # the last row loses its `"]]`; no count changes
-            body = b"".join(lines)[: -len(b'"]]\n')]
+        elif cut == "torn_brackets":  # the last row loses its closing `"`; no count changes
+            body = b"".join(lines)[: -len(b'"\n')] + b"\n"
+        elif cut == "edited_rank":  # every line still parses and no count changes
+            first = next(i for i, line in enumerate(lines) if line.endswith(b"\t1\n"))
+            lines[first] = lines[first][:-2] + b"0\n"
+            body = b"".join(lines)
         else:
             body = b"".join(lines[:2] + [b'{"id": "CHEBI:1"}\n'] + lines[2:])
         path.write_bytes(body)
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
             LexiconIndex.load(path, wanted=wanted)
+
+    @pytest.mark.parametrize("field", ["entry_count", "surface_count"])
+    def test_full_load_checks_the_header_counts(self, lexicon_index, tmp_path, field):
+        # The checksum covers the body only; the replay checks the header's counts.
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header[field] -= 1
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(IndexFormatError, match="header declares"):
+            LexiconIndex.load(path)
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -487,6 +548,8 @@ class TestIndexPersistence:
 # Names whose saved rows need escapes: a quote, a backslash, and quoted text
 # that reads like the row separators `","` and `",["` once its escapes are
 # ignored. The last row owns only plain surfaces but has a name like that.
+# Then names that share one spelling key, or whose keys differ by a plural
+# ending, so one search must bring back several claimants.
 _AWKWARD_ROWS = [
     ("CHEBI:11", 'the "quoted" toxin', "NAME"),
     ("CHEBI:12", "back\\slash oil", "NAME"),
@@ -497,6 +560,15 @@ _AWKWARD_ROWS = [
     ("CHEBI:16", "aflatoxin b١", "NAME"),
     ("CHEBI:17", 'odd",["name', "NAME"),
     ("CHEBI:17", "patulin", "SYNONYM"),
+    ("CHEBI:18", "toxin b1", "SYNONYM"),
+    ("CHEBI:19", "toxin-b 1", "NAME"),
+    ("CHEBI:20", "toxinb1", "SYNONYM"),
+    ("CHEBI:21", "berry", "NAME"),
+    ("CHEBI:22", "berries", "NAME"),
+    ("CHEBI:23", "berrie", "SYNONYM"),
+    ("CHEBI:24", "borax", "SYNONYM"),
+    ("CHEBI:25", "boraxes", "NAME"),
+    ("CHEBI:26", "boraxe", "NAME"),
 ]
 
 
@@ -513,13 +585,48 @@ def seeded_index_file(tmp_path_factory):
 
 
 def _saved_surfaces(path):
-    rows = path.read_text(encoding="utf-8").splitlines()[1:]
-    return sorted(surface for _, _, surfaces in map(json.loads, rows) for surface in surfaces)
+    header, records, _ = _read_body(path)
+    surfaces = set().union(*(_oracle_surfaces(name) for _, _, name, _, _ in records))
+    return sorted(surfaces - set(header["stoplist"]) - {""})
 
 
 def _respellings(surface):
     return [surface.upper(), f"  {surface} ", surface.replace(" ", "   "),
             surface.translate(str.maketrans("abc", "ａｂｃ")), surface.title()]
+
+
+class TestSpellingKey:
+    """Every surface of a name leads a restricted load back to that name."""
+
+    @staticmethod
+    def check(name):
+        letters, digits = oracle_spelling_key(name)
+        assert _spelling_key(name) == f"{letters}\t{','.join(digits)}", name
+        for surface in _surfaces(name) | _oracle_surfaces(name):
+            assert _spelling_key(name) in _candidate_keys(surface), (name, surface)
+
+    @pytest.mark.parametrize("name", [
+        "aflatoxin b١", "aflatoxin b1", "x² toxin", "b²", "β-carotene", "berry", "alloy",
+        "benzyl 2-ch", "toxin-x", "borax", "5-y", "straße 3", "ochratoxin a 2", "polonium-210",
+        "berrie", "_k", "a_b1",
+    ])
+    def test_pinned_names(self, name):
+        self.check(name)
+        self.check(normalize(name))
+
+    def test_oracle_names(self):
+        rng = random.Random(9009)
+        names = [random_surface_name(rng) for _ in range(2000)]
+        names += [random_digit_name(rng) for _ in range(2000)]
+        for feature in ("١", "²", "ry", "ch", "x"):
+            assert any(feature in name for name in names), feature
+        for name in names:
+            self.check(name)
+            self.check(normalize(name))
+
+    @given(st.text(alphabet="abcxyhsé²١β1 -_.", max_size=14))
+    def test_any_name(self, name):
+        self.check(name)
 
 
 class TestRestrictedLoad:
@@ -548,6 +655,26 @@ class TestRestrictedLoad:
                 if chebi_id is not None:
                     assert restricted.preferred_name(chebi_id) == full.preferred_name(chebi_id)
             assert restricted.unplanned == set(), trial
+
+    def test_each_surface_alone_answers_as_the_full_load(self, seeded_index_file):
+        # One surface per load: no other wanted form can bring its claimants back.
+        full = LexiconIndex.load(seeded_index_file)
+        awkward = sorted(set().union(*(surfaces_for(name) for _, name, _ in _AWKWARD_ROWS)))
+        rng = random.Random(8008)
+        for surface in awkward + rng.sample(_saved_surfaces(seeded_index_file), 150):
+            restricted = LexiconIndex.load(seeded_index_file, wanted={surface})
+            chebi_id = restricted.lookup(surface)
+            assert chebi_id == full.lookup(surface) is not None, surface
+            assert restricted.preferred_name(chebi_id) == full.preferred_name(chebi_id)
+        assert [full.lookup(s) for s in ("toxin b1", "toxin-b1", "toxinb-1")] == [
+            "CHEBI:18", "CHEBI:19", "CHEBI:20"]
+        assert full.lookup("berries") == "CHEBI:21" and full.lookup("boraxes") == "CHEBI:25"
+        # "boraxe" brings back only CHEBI:26, whose plural "boraxes" is CHEBI:25's
+        # name: a surface outside `wanted` is not answered from a partial claim.
+        restricted = LexiconIndex.load(seeded_index_file, wanted={"boraxe"})
+        assert restricted.lookup("boraxe") == "CHEBI:26"
+        assert restricted.lookup("boraxes") is None
+        assert restricted.unplanned == {"boraxes"}
 
     def test_a_miss_outside_the_wanted_set_is_recorded_and_a_second_load_answers_it(
         self, seeded_index_file

@@ -15,6 +15,7 @@ from oracles import (
     SCAN_ALPHABET,
     OracleUnterminated,
     oracle_mapping_regions,
+    oracle_parse_region,
     oracle_tokenize,
     random_long_response,
     random_scan_text,
@@ -178,6 +179,13 @@ def tokens_or_failure(tokenize, src):
         return "unterminated string"
 
 
+def parse_or_none(src):
+    try:
+        return response_parser._parse_region(src)
+    except response_parser._ParseFailure:
+        return None
+
+
 def _oracle_tokenize_for_parser(src):
     try:
         return oracle_tokenize(src)
@@ -196,9 +204,10 @@ def assert_scans_like_the_oracles(text):
     regions = response_parser._mapping_regions(text)
     assert regions == oracle_mapping_regions(text)
     for piece in [text] + [text[a:b] for a, b in regions]:
-        assert tokens_or_failure(response_parser._tokenize, piece) == tokens_or_failure(
-            oracle_tokenize, piece
-        ), piece
+        tokens = tokens_or_failure(oracle_tokenize, piece)
+        assert tokens_or_failure(response_parser._tokenize, piece) == tokens, piece
+        if tokens != "unterminated string":
+            assert parse_or_none(piece) == oracle_parse_region(tokens), piece
     with oracle_scanners():
         expected = extract_mapping_text(text)
     assert extract_mapping_text(text) == expected

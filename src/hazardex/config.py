@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -153,6 +154,22 @@ def _as_float(value, context: str) -> float:
         raise ConfigError(f"{context}: not a number: {value!r}") from exc
 
 
+def _as_http_url(value, context: str) -> str | None:
+    """`value` if it is an http:// or https:// URL with a host; unset stays unset."""
+    if value is None or value == "":
+        return value
+    url = str(value)
+    try:
+        parts = urlsplit(url)
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        parts.port  # noqa: B018 - raises ValueError for a port that is not a number
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"{context}: expected an http:// or https:// URL with a host, got {url!r}")
+    return url
+
+
 def _parse_foods(raw) -> dict[str, FoodSpec]:
     if raw is None:
         return dict(BUILTIN_FOODS)
@@ -213,7 +230,7 @@ def load_config(
         )
     effective_workdir = Path(workdir) if workdir is not None else _as_path(run["workdir"], base_dir)
     return PipelineConfig(
-        api_endpoint=api["endpoint"],
+        api_endpoint=_as_http_url(api["endpoint"], "api.endpoint"),
         cutoff_date=_as_date(api["cutoff_date"], "api.cutoff_date"),
         page_size=_as_int(api["page_size"], "api.page_size"),
         rate_limit=_as_float(api["rate_limit"], "api.rate_limit"),
@@ -222,7 +239,7 @@ def load_config(
         stoplist_path=_as_path(lex["stoplist"], base_dir),
         templates_dir=_as_path(prompting["templates_dir"], base_dir),
         backend_kind=str(backend["kind"]),
-        backend_url=backend["url"],
+        backend_url=_as_http_url(backend["url"], "backend.url"),
         backend_model=str(backend["model"] or ""),
         fixtures_dir=_as_path(backend["fixtures_dir"], base_dir),
         use_messages=bool(backend["use_messages"]),

@@ -60,7 +60,6 @@ REJECT_TOO_SHORT = "too_short"
 REJECT_ERRATUM = "erratum"
 
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>|<!--.*?-->", re.DOTALL)
-_WS_RE = re.compile(r"\s+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 
@@ -158,17 +157,25 @@ def _unescape_entities(text: str) -> str:
 
 def _strip_markup(text: str) -> str:
     text = _unescape_entities(text)
-    text = _TAG_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    if "<" in text:
+        text = _TAG_RE.sub(" ", text)
+    # str.split and the regex `\s` share one definition of whitespace.
+    return " ".join(text.split())
+
+
+def _has_copyright_marker(text: str) -> bool:
+    folded = text.casefold()
+    return any(marker in folded for marker in _COPYRIGHT_MARKERS)
 
 
 def _drop_copyright_sentences(text: str) -> str:
-    sentences = _SENTENCE_SPLIT_RE.split(text)
-    kept = [
-        s
-        for s in sentences
-        if not any(marker in s.casefold() for marker in _COPYRIGHT_MARKERS)
-    ]
+    """Drop every sentence that carries a copyright marker from markup-free
+    text. No marker spans a sentence break, so text without one anywhere is
+    returned as it is: `_strip_markup` leaves single spaces, and the split
+    and join would give it back unchanged."""
+    if not _has_copyright_marker(text):
+        return text
+    kept = [s for s in _SENTENCE_SPLIT_RE.split(text) if not _has_copyright_marker(s)]
     return " ".join(kept).strip()
 
 

@@ -1,22 +1,24 @@
 """Europe PMC search client: cursor pagination, rate limiting, bounded retries.
 
 Pagination is cursor-chained, so pages are fetched sequentially; the rate
-limiter spaces requests and transient failures (429/5xx, transport errors)
-are retried with exponential backoff. A failed page surfaces the cursor it
-was requested with so a caller can resume without refetching earlier pages.
+limiter spaces every attempt, and transient failures (429/5xx, transport
+errors) are retried with exponential backoff by a `transport.Transport`,
+the standard-library HTTP layer the completion backend uses too. A failed
+page surfaces the cursor it was requested with so a caller can resume
+without refetching earlier pages.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
+from urllib.parse import urlencode
 
 from .corpus import RawRecord
-
-if TYPE_CHECKING:
-    import requests
+from .transport import Transport, Unreachable
 
 log = logging.getLogger(__name__)
 
@@ -125,26 +127,21 @@ class EuropePmcClient:
         rate_limit: float = 5.0,
         max_retries: int = 5,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
         timeout: float = 60.0,
         sleep=time.sleep,
     ):
         self.endpoint = endpoint
         self.page_size = page_size
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.timeout = timeout
-        if session is None:
-            import requests  # only fetching sends requests; imported on first use
-
-            session = requests.Session()
-        self._session = session
-        self._sleep = sleep
         self._limiter = RateLimiter(rate_limit, sleep=sleep)
+        self._transport = Transport(
+            timeout=timeout,
+            max_retries=max_retries,
+            backoff_base=backoff_base,
+            retryable=_RETRY_STATUSES.__contains__,
+            sleep=sleep,
+        )
 
     def _request_page(self, query: str, cursor: str) -> dict:
-        import requests
-
         params = {
             "query": query,
             "resultType": "core",
@@ -152,31 +149,27 @@ class EuropePmcClient:
             "pageSize": str(self.page_size),
             "cursorMark": cursor,
         }
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                delay = self.backoff_base * (2 ** (attempt - 1))
-                log.warning("retrying cursor %r in %.2fs (%s)", cursor, delay, last_error)
-                self._sleep(delay)
-            self._limiter.wait()
-            try:
-                resp = self._session.get(self.endpoint, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code in _RETRY_STATUSES:
-                last_error = RuntimeError(f"HTTP {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise FetchError(f"HTTP {resp.status_code} at cursor {cursor!r}", cursor)
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise DecodeError(f"invalid JSON at cursor {cursor!r}: {exc}", cursor) from exc
-        raise FetchError(
-            f"giving up on cursor {cursor!r} after {self.max_retries} retries: {last_error}",
-            cursor,
-        )
+        url = f"{self.endpoint}{'&' if '?' in self.endpoint else '?'}{urlencode(params)}"
+
+        def on_retry(delay: float, last_error: Exception | None) -> None:
+            log.warning("retrying cursor %r in %.2fs (%s)", cursor, delay, last_error)
+
+        try:
+            status, body = self._transport.send(
+                url, before_attempt=self._limiter.wait, on_retry=on_retry
+            )
+        except Unreachable as exc:
+            raise FetchError(
+                f"giving up on cursor {cursor!r} after {self._transport.max_retries} retries: "
+                f"{exc.last_error}",
+                cursor,
+            ) from exc
+        if status != 200:
+            raise FetchError(f"HTTP {status} at cursor {cursor!r}", cursor)
+        try:
+            return json.loads(body)
+        except ValueError as exc:
+            raise DecodeError(f"invalid JSON at cursor {cursor!r}: {exc}", cursor) from exc
 
     def iter_pages(self, query: str, start_cursor: str = FIRST_CURSOR) -> Iterator[ResultPage]:
         """Walk the cursor chain from start_cursor until the provider repeats itself."""

@@ -581,6 +581,14 @@ def build_index(
     return LexiconIndex(claims, id_to_name, stats, source_checksum, records, stoplist)
 
 
+def header_sha256(path: str | Path) -> str:
+    """The sha256 of a saved index's first line. The header carries the
+    stoplist and pins the body through `body_sha256`, so it changes whenever
+    anything a load reads does; `load` checks the body against it."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.readline()).hexdigest()
+
+
 def file_sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -51,6 +51,7 @@ from .lexicon import (
     build_index,
     default_stoplist,
     file_sha256,
+    header_sha256,
     load_stoplist,
     normalize,
     parse_chebi_source,
@@ -544,7 +545,9 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
     manifest = _area(cfg, "candidates") / f"link__{stem}.manifest.json"
     signature = {
         "responses_sha256": file_sha256(responses_path),
-        "index_sha256": file_sha256(index_path),
+        # The header pins the body by its sha256; `load` checks the body.
+        "index_header_sha256": header_sha256(index_path),
+        "index_bytes": index_path.stat().st_size,
         "keywords": sorted(food.keywords),
     }
     previous = _fresh(manifest, signature, [candidates_path, table_path])

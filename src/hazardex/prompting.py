@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import AbstractRecord
-
-if TYPE_CHECKING:
-    import requests
+from .transport import Transport, Unreachable
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +141,10 @@ class HttpBackend:
     """Completion client for a JSON chat/completions endpoint.
 
     Decoding is pinned deterministic: temperature 0 and the caller's token
-    budget, regardless of server defaults.
+    budget, regardless of server defaults. Requests go through a
+    `transport.Transport`: a 5xx, a 429 or a transport error is retried with
+    backoff; any other status but 200 fails the prompt at once, with
+    the start of the body in the message. Credentials go in `headers`.
     """
 
     def __init__(
@@ -156,23 +157,20 @@ class HttpBackend:
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url
         self.model = model
         self.use_messages = use_messages
-        self.headers = headers or {}
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
+        self.headers = {"Content-Type": "application/json", **(headers or {})}
         self.name = f"http:{model}"
-        if session is None:
-            import requests  # only the http backend sends requests; imported on first use
-
-            session = requests.Session()
-        self._session = session
-        self._sleep = sleep
+        self._transport = Transport(
+            timeout=timeout,
+            max_retries=max_retries,
+            backoff_base=backoff_base,
+            retryable=lambda status: status >= 500 or status == 429,
+            sleep=sleep,
+        )
 
     def _payload(self, prompt: RenderedPrompt, params: DecodingParams) -> dict:
         payload: dict = {
@@ -204,30 +202,19 @@ class HttpBackend:
         raise BackendError(f"no completion text in response keys {sorted(payload)}")
 
     def complete(self, prompt: RenderedPrompt, params: DecodingParams) -> tuple[str, bool]:
-        import requests
-
-        body = self._payload(prompt, params)
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                self._sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                resp = self._session.post(
-                    self.url, json=body, headers=self.headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = RuntimeError(f"HTTP {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            try:
-                return self._extract_completion(resp.json())
-            except ValueError as exc:
-                raise BackendError(f"invalid JSON from backend: {exc}") from exc
-        raise BackendError(f"backend unreachable after {self.max_retries} retries: {last_error}")
+        data = json.dumps(self._payload(prompt, params)).encode("utf-8")
+        try:
+            status, body = self._transport.send(self.url, data=data, headers=self.headers)
+        except Unreachable as exc:
+            raise BackendError(
+                f"backend unreachable after {self._transport.max_retries} retries: {exc.last_error}"
+            ) from exc
+        if status != 200:
+            raise BackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+        try:
+            return self._extract_completion(json.loads(body))
+        except ValueError as exc:
+            raise BackendError(f"invalid JSON from backend: {exc}") from exc
 
 
 def complete(backend, prompt: RenderedPrompt, params: DecodingParams) -> LlmResponse:

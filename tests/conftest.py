@@ -8,6 +8,7 @@ run (see test_acceptance.py).
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -207,6 +208,80 @@ def stub_api():
     yield start
     for stub in stubs:
         stub.close()
+
+
+# --------------------------------------------------------------------------
+# a local server with a pluggable answer: origin, forward proxy, gzip source
+# --------------------------------------------------------------------------
+
+
+class LocalServer:
+    """HTTP server on 127.0.0.1 that answers every GET and POST with
+    `respond(method, target, body) -> (status, headers, payload)` and records
+    each request's (method, target, headers) in `seen`. A forward proxy gets
+    the absolute URI as its target."""
+
+    def __init__(self, respond):
+        self.respond = respond
+        self.seen: list[tuple[str, str, dict]] = []
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                server.seen.append((self.command, self.path, dict(self.headers)))
+                status, headers, payload = server.respond(self.command, self.path, body)
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            do_POST = do_GET
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True).start()
+
+    @property
+    def url(self) -> str:
+        host, port = self.server.server_address
+        return f"http://{host}:{port}"
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+
+
+def canned(payload: bytes, status: int = 200, headers: dict | None = None):
+    """A `respond` that gives every request the same answer."""
+    return lambda method, target, body: (status, headers or {}, payload)
+
+
+@pytest.fixture
+def local_server():
+    servers: list[LocalServer] = []
+
+    def start(respond) -> LocalServer:
+        server = LocalServer(respond)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """Clear every *_proxy variable, so a test sets exactly the ones it means."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ set-for-set / row-for-row equality between package output and these oracles.
 
 from __future__ import annotations
 
+import html
 import random
 import re
 from itertools import groupby, product
@@ -485,3 +486,49 @@ def random_long_response(rng: random.Random) -> str:
     parts.insert(rng.randrange(len(parts) + 1), mapping)
     parts.extend(random_scan_text(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 3)))
     return rng.choice((" ", "\n", "\n\n")).join(parts)
+
+
+_COPYRIGHT_MARKERS = ("©", "copyright", "all rights reserved")
+
+
+def oracle_clean_text(text: str) -> str:
+    """`corpus.clean_text` as it was before its fast paths: every tag pass and
+    whitespace pass by regex, every text split into sentences, and each
+    sentence casefolded once per copyright marker."""
+    while True:
+        decoded = html.unescape(text)
+        if decoded == text:
+            break
+        text = decoded
+    text = re.sub(r"</?[A-Za-z][^<>]*>|<!--.*?-->", " ", text, flags=re.DOTALL)
+    text = re.sub(r"\s+", " ", text).strip()
+    sentences = re.split(r"(?<=[.!?])\s+", text)
+    kept = [
+        s
+        for s in sentences
+        if not any(marker in s.casefold() for marker in _COPYRIGHT_MARKERS)
+    ]
+    return " ".join(kept).strip()
+
+
+_CLEANING_PIECES = (
+    "Cadmium was found in rice.",
+    "Straße samples were ß-rich!",
+    "COPYRIGHT 2020 Elsevier.",
+    "All Rights Reserved.",
+    "© 2021 The Authors.",
+    "Is the level safe?",
+    "copy right is not a marker.",
+    "<b>Lead</b> &amp; zinc",
+    "&lt;i&gt;Hg&lt;/i&gt;\u00a0levels\u2028rose.",
+    "ALL RIGHTS",
+    "reserved",
+    "Ⓒ İstanbul ΣΑΣ ﬁsh.",
+)
+
+
+def random_abstract_text(rng: random.Random) -> str:
+    """Prose with copyright markers in several cases, "ß", markup, entities
+    and sentence ends, joined by assorted whitespace."""
+    parts = [rng.choice(_CLEANING_PIECES) for _ in range(rng.randint(0, 12))]
+    return "".join(part + rng.choice((" ", "  ", "\n", "\t ", "", ". ")) for part in parts)

@@ -15,7 +15,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import (
+    E2E_ABSTRACTS,
     E2E_EXPECTED_TABLE,
+    E2E_RESPONSES,
     e2e_records,
     make_workspace,
     provider_record,
@@ -108,6 +110,32 @@ class TestConfig:
         cfg = load_config(tmp_path / "cfg.yaml", environ={})
         assert sorted(cfg.foods) == ["rice"]
         assert cfg.food("rice").keywords == frozenset({"rice", "paddy"})
+
+    @pytest.mark.parametrize("key", ["api.endpoint", "backend.url"])
+    @pytest.mark.parametrize("url", [
+        "localhost:8000/v1", "file:///etc/passwd", "ftp://example.org/x", "http://",
+        "https:///path", "http://host:port/", "//host/v1", 8000,
+    ])
+    def test_url_that_is_not_http_with_a_host_is_an_error(self, tmp_path, key, url):
+        section, name = key.split(".")
+        (tmp_path / "cfg.yaml").write_text(f"{section}:\n  {name}: {json.dumps(url)}\n",
+                                           encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"{key}: expected an http:// or https:// URL"):
+            load_config(tmp_path / "cfg.yaml", environ={})
+
+    def test_http_and_https_urls_are_kept(self):
+        cfg = load_config(None, environ={
+            "HAZARDEX_API_ENDPOINT": "https://www.ebi.ac.uk/europepmc/webservices/rest/search",
+            "HAZARDEX_BACKEND_URL": "http://127.0.0.1:8000/v1/completions",
+        })
+        assert cfg.api_endpoint == "https://www.ebi.ac.uk/europepmc/webservices/rest/search"
+        assert cfg.backend_url == "http://127.0.0.1:8000/v1/completions"
+
+    def test_url_without_a_scheme_stops_any_command_with_exit_2(self, workspace):
+        env = {"HAZARDEX_BACKEND_KIND": "http", "HAZARDEX_BACKEND_URL": "localhost:8000/v1"}
+        result = invoke("--config", workspace["config"], "filter", "--food", "dairy", env=env)
+        assert result.exit_code == 2
+        assert "backend.url: expected an http:// or https:// URL with a host" in result.output
 
     def test_unknown_food_lookup_is_an_error(self):
         cfg = load_config(None, environ={})
@@ -435,6 +463,45 @@ class TestStageCommands:
         result = invoke("--config", workspace["config"], "link", "--food", "dairy")
         assert result.exit_code == 0, result.output
 
+    def test_identical_rebuild_leaves_link_up_to_date(self, workspace):
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        (workspace["workdir"] / "lexicon" / "build.manifest.json").unlink()
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert "up to date" not in result.output
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "link: up to date" in result.output
+
+    def test_stoplist_change_that_keeps_the_records_makes_link_stale(self, workspace):
+        from hazardex.lexicon import default_stoplist
+
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        before = index_path.read_bytes().split(b"\n", 1)
+        stoplist = workspace["root"] / "stoplist.txt"
+        stoplist.write_text("\n".join([*sorted(default_stoplist()), "no such name"]) + "\n",
+                            encoding="utf-8")
+        env = {"HAZARDEX_LEXICON_STOPLIST": str(stoplist)}
+        result = invoke("--config", workspace["config"], "build-lexicon", env=env)
+        assert "up to date" not in result.output
+        after = index_path.read_bytes().split(b"\n", 1)
+        assert after[1] == before[1] and after[0] != before[0]
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy", env=env)
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+
+    def test_body_edited_behind_its_header_stops_link_with_exit_2(self, workspace):
+        for args in (["fetch"], ["build-lexicon"], ["filter", "--food", "dairy"],
+                     ["extract", "--food", "dairy"]):
+            assert invoke("--config", workspace["config"], *args).exit_code == 0, args
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        blob = index_path.read_bytes()
+        index_path.write_bytes(blob.replace(b'"cadmium"', b'"kadmium"'))
+        assert index_path.read_bytes() != blob
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 2
+        assert "body does not match its checksum" in result.output
+
     def test_manifest_without_output_sizes_counts_as_stale(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         manifest = workspace["workdir"] / "lexicon" / "build.manifest.json"
@@ -635,11 +702,72 @@ def test_importing_the_cli_leaves_requests_unloaded():
     import hazardex
 
     src = str(Path(hazardex.__file__).resolve().parents[1])
-    code = "import sys, hazardex.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    code = ("import sys, hazardex.cli; print(sorted({'requests', 'urllib3', 'urllib.request', "
+            "'http.client'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_fetch_and_extract_over_http_in_a_process_that_cannot_import_requests(
+    tmp_path, stub_api, local_server, no_proxy_env
+):
+    import hazardex
+
+    reference = make_workspace(tmp_path / "mock")
+    assert invoke("--config", reference["config"], "run-all", "--food", "dairy").exit_code == 0
+
+    provider = []
+    for i, (doi, year, text) in enumerate(E2E_ABSTRACTS):
+        rec = {"id": f"E2E{i}", "title": f"Fixture abstract {i}", "abstractText": text,
+               "pubYear": str(year), "pubTypeList": {"pubType": ["research-article"]}}
+        provider.append({**rec, "doi": doi} if doi else rec)
+    search = stub_api(provider)
+    refused = {3}
+
+    def complete(method, target, body):
+        prompt = json.loads(body)["prompt"]
+        (i,) = [i for i, (_, _, text) in enumerate(E2E_ABSTRACTS) if text in prompt]
+        if i in refused:
+            refused.discard(i)
+            return 400, {}, b'{"error": "content policy refusal"}'
+        answer = {"choices": [{"text": E2E_RESPONSES[i], "finish_reason": "stop"}]}
+        return 200, {"Content-Type": "application/json"}, json.dumps(answer).encode("utf-8")
+
+    completions = local_server(complete)
+    ws = make_workspace(tmp_path / "http")
+    (ws["workdir"] / "abstracts" / "abstracts.jsonl").unlink()
+    config = ws["config"].read_text(encoding="utf-8")
+    config = config.replace("  endpoint: null\n", f"  endpoint: {search.url}\n  page_size: 5\n")
+    config = config.replace("  kind: mock\n", f"  kind: http\n  url: {completions.url}/v1/completions\n")
+    ws["config"].write_text(config, encoding="utf-8")
+
+    src = str(Path(hazardex.__file__).resolve().parents[1])
+    code = "import sys; sys.modules['requests'] = None; from hazardex.cli import main; main()"
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", code, "--config", str(ws["config"]), *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("fetch")
+    assert done.returncode == 0, done.stderr
+    assert "raw=12 kept=12" in done.stdout
+    assert len(search.requests) == 3
+    done = run("run-all", "--food", "dairy")
+    assert done.returncode == 1, done.stderr
+    assert "failed=1" in done.stdout
+    assert "HTTP 400: {\"error\": \"content policy refusal\"}" in done.stderr
+    done = run("run-all", "--food", "dairy")
+    assert done.returncode == 0, done.stderr
+    assert len(completions.seen) == 11
+
+    for name in ("abstracts/abstracts.jsonl", *(
+        f"reports/{p.name}" for p in sorted((reference["workdir"] / "reports").iterdir())
+        if not p.name.endswith(".manifest.json")
+    )):
+        assert (ws["workdir"] / name).read_bytes() == (reference["workdir"] / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------------

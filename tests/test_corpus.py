@@ -3,12 +3,14 @@ and the provider search query."""
 
 from __future__ import annotations
 
+import random
 from datetime import date
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import oracle_clean_text, random_abstract_text
 from hazardex.corpus import (
     BUILTIN_FOODS,
     HAZARD_TERMS,
@@ -53,6 +55,28 @@ class TestCleanText:
         cleaned = clean_text("Cadmium in rice. © 2020 Elsevier Ltd.")
         assert cleaned == "Cadmium in rice."
         assert "©" not in cleaned
+
+    def test_marker_case_and_eszett_do_not_change_what_is_dropped(self):
+        text = "STRASSE milk. Straße cheese! COPYRIGHT 2020. All Rights Reserved. Whey?"
+        assert clean_text(text) == "STRASSE milk. Straße cheese! Whey?"
+
+    def test_matches_the_oracle_on_seeded_texts(self):
+        rng = random.Random(10)
+        marked = 0
+        for _ in range(2000):
+            text = random_abstract_text(rng)
+            assert clean_text(text) == oracle_clean_text(text), text
+            marked += any(m in text.casefold() for m in ("©", "copyright", "all rights reserved"))
+        assert marked > 500
+
+    @given(st.text(alphabet=st.sampled_from("©ßSsCcOoPpYyRrIiGgHhTt .!?<>&;/b\n\t\x1c\x85\xa0\u2028"),
+                   max_size=80))
+    def test_matches_the_oracle_on_arbitrary_input(self, text):
+        assert clean_text(text) == oracle_clean_text(text)
+
+    @given(st.text(max_size=200))
+    def test_matches_the_oracle_on_any_text(self, text):
+        assert clean_text(text) == oracle_clean_text(text)
 
     def test_plain_text_is_a_fixpoint(self):
         text = "Cadmium accumulation in paddy rice was quantified over two seasons."

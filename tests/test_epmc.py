@@ -3,9 +3,12 @@ error classification, exercised against a local stub server."""
 
 from __future__ import annotations
 
+import gzip
+import json
+
 import pytest
 
-from conftest import provider_record
+from conftest import canned, provider_record
 from hazardex.epmc import (
     FIRST_CURSOR,
     DecodeError,
@@ -138,6 +141,44 @@ class TestFailureHandling:
         with pytest.raises(DecodeError) as err:
             _parse_page({"resultList": {}}, "c5")
         assert err.value.cursor == "c5"
+
+
+def one_page(*records) -> bytes:
+    return json.dumps({
+        "hitCount": len(records),
+        "nextCursorMark": FIRST_CURSOR,
+        "resultList": {"result": list(records)},
+    }).encode("utf-8")
+
+
+class TestTransport:
+    def test_gzip_encoded_page_is_decoded(self, local_server):
+        page = gzip.compress(one_page(provider_record(0)))
+        server = local_server(canned(page, headers={"Content-Encoding": "gzip"}))
+        (page,) = make_client(server.url + "/search").iter_pages(QUERY)
+        assert [rec.source_id for rec in page.records] == ["STUB0"]
+        ((_, _, headers),) = server.seen
+        assert "gzip" in headers["Accept-Encoding"]
+
+    def test_http_proxy_carries_the_request_and_no_proxy_bypasses_it(
+        self, local_server, no_proxy_env
+    ):
+        origin = local_server(canned(one_page(provider_record(0))))
+        proxy = local_server(canned(one_page(provider_record(1))))
+        endpoint = origin.url + "/search"
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        (page,) = make_client(endpoint).iter_pages(QUERY)
+        assert page.records[0].source_id == "STUB1"
+        ((method, target, _),) = proxy.seen
+        assert method == "GET" and target.startswith(endpoint + "?query=")
+        assert origin.seen == []
+
+        no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        (page,) = make_client(endpoint).iter_pages(QUERY)
+        assert page.records[0].source_id == "STUB0"
+        assert len(proxy.seen) == 1
+        ((_, target, _),) = origin.seen
+        assert target.startswith("/search?query=")
 
 
 class TestRateLimiter:

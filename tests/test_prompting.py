@@ -3,12 +3,14 @@ extraction loop."""
 
 from __future__ import annotations
 
+import gzip
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import canned
 from hazardex.corpus import AbstractRecord
 from hazardex.prompting import (
     PLACEHOLDER,
@@ -293,6 +295,38 @@ class TestHttpBackend:
         stub = completion_stub([{"usage": {}}])
         with pytest.raises(BackendError, match="no completion text"):
             http_backend(stub.url).complete(PROMPT, PARAMS)
+
+
+class TestHttpBackendTransport:
+    ANSWER = json.dumps({"choices": [{"text": "ok"}]}).encode("utf-8")
+
+    def test_client_error_body_is_in_the_message(self, local_server):
+        server = local_server(canned(b'{"error": "content policy refusal"}', status=403))
+        with pytest.raises(BackendError, match="HTTP 403: .*content policy refusal"):
+            http_backend(server.url + "/v1/completions").complete(PROMPT, PARAMS)
+        assert len(server.seen) == 1
+
+    def test_gzip_encoded_answer_is_decoded(self, local_server):
+        server = local_server(canned(gzip.compress(self.ANSWER), headers={"Content-Encoding": "gzip"}))
+        assert http_backend(server.url + "/v1/completions").complete(PROMPT, PARAMS) == ("ok", False)
+        ((_, _, headers),) = server.seen
+        assert "gzip" in headers["Accept-Encoding"]
+
+    def test_http_proxy_carries_the_request_and_no_proxy_bypasses_it(
+        self, local_server, no_proxy_env
+    ):
+        origin = local_server(canned(self.ANSWER))
+        proxy = local_server(canned(json.dumps({"text": "via proxy"}).encode("utf-8")))
+        url = origin.url + "/v1/completions"
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        assert http_backend(url).complete(PROMPT, PARAMS) == ("via proxy", False)
+        assert [(method, target) for method, target, _ in proxy.seen] == [("POST", url)]
+        assert origin.seen == []
+
+        no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        assert http_backend(url).complete(PROMPT, PARAMS) == ("ok", False)
+        assert len(proxy.seen) == 1
+        assert [(method, target) for method, target, _ in origin.seen] == [("POST", "/v1/completions")]
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line entry points for the extraction pipeline.
 
 Exit codes: 0 on success, 1 when a stage finished with partial failures
-(e.g. some abstracts got no response), 2 on configuration or I/O errors.
+(e.g. some abstracts got no response), 2 on configuration or I/O errors and
+on any other error, which prints one `error:` line rather than a traceback.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _HARD_ERRORS = (
     OSError,
 )
 
+log = logging.getLogger(__name__)
+
 _STYLE_CHOICE = click.Choice([s.value for s in PromptStyle])
 
 
@@ -72,14 +75,25 @@ def main(ctx: click.Context, config_path: Path | None, workdir: Path | None, ver
     ctx.obj = {"config_path": config_path, "workdir": workdir}
 
 
-def _load(ctx: click.Context):
+def _run(ctx: click.Context, body) -> None:
+    """Load the config, run `body(cfg)` under the workdir lock and print what
+    it returns: a list of stage results and an optional accuracy grid. Any
+    exception is one `error:` line and exit 2; --verbose logs its traceback."""
     opts = ctx.obj
-    return load_config(opts["config_path"], workdir=opts["workdir"])
-
-
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    raise SystemExit(2)
+    try:
+        cfg = load_config(opts["config_path"], workdir=opts["workdir"])
+        with workdir_lock(cfg.workdir):
+            results, rows = body(cfg)
+    except Exception as exc:
+        message = str(exc)
+        if not isinstance(exc, _HARD_ERRORS):
+            log.debug("unexpected failure", exc_info=True)
+            message = f"{type(exc).__name__}: {message}"
+        click.echo(f"error: {message}", err=True)
+        raise SystemExit(2)
+    if rows is not None:
+        _print_grid(rows)
+    _finish(results)
 
 
 def _describe(result: StageResult) -> str:
@@ -107,26 +121,14 @@ def _print_grid(rows: list[list[str]]) -> None:
 @click.pass_context
 def fetch(ctx: click.Context) -> None:
     """Download, clean and deduplicate the abstract corpus."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_fetch(cfg)
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_fetch(cfg)], None))
 
 
 @main.command("build-lexicon")
 @click.pass_context
 def build_lexicon(ctx: click.Context) -> None:
     """Build the chemical-name surface index from the names dump."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_build_lexicon(cfg)
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_build_lexicon(cfg)], None))
 
 
 @main.command("filter")
@@ -134,13 +136,7 @@ def build_lexicon(ctx: click.Context) -> None:
 @click.pass_context
 def filter_cmd(ctx: click.Context, food: str) -> None:
     """Select the abstracts mentioning a configured food."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_filter(cfg, food)
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_filter(cfg, food)], None))
 
 
 @main.command()
@@ -149,13 +145,7 @@ def filter_cmd(ctx: click.Context, food: str) -> None:
 @click.pass_context
 def extract(ctx: click.Context, food: str, style: str) -> None:
     """Prompt the model on each filtered abstract, storing raw responses."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_extract(cfg, food, PromptStyle(style))
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_extract(cfg, food, PromptStyle(style))], None))
 
 
 @main.command()
@@ -164,13 +154,7 @@ def extract(ctx: click.Context, food: str, style: str) -> None:
 @click.pass_context
 def link(ctx: click.Context, food: str, style: str) -> None:
     """Parse stored responses and link hazard names to identifiers."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_link(cfg, food, PromptStyle(style))
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_link(cfg, food, PromptStyle(style))], None))
 
 
 @main.command()
@@ -178,13 +162,7 @@ def link(ctx: click.Context, food: str, style: str) -> None:
 @click.pass_context
 def report(ctx: click.Context, food: str) -> None:
     """Write CSV and JSON hazard reports for every linked table of a food."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            result = stage_report(cfg, food)
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _finish([result])
+    _run(ctx, lambda cfg: ([stage_report(cfg, food)], None))
 
 
 @main.command()
@@ -193,17 +171,15 @@ def report(ctx: click.Context, food: str) -> None:
 @click.pass_context
 def evaluate(ctx: click.Context, gold: Path | None, style: str) -> None:
     """Score linked tables against gold judgments and print the accuracy grid."""
-    try:
-        cfg = _load(ctx)
+
+    def body(cfg):
         gold_path = gold if gold is not None else cfg.gold_path
         if gold_path is None:
             raise PipelineError("no gold file: pass --gold or set evaluation.gold in the config")
-        with workdir_lock(cfg.workdir):
-            result, rows = stage_evaluate(cfg, gold_path, PromptStyle(style))
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    _print_grid(rows)
-    _finish([result])
+        result, rows = stage_evaluate(cfg, gold_path, PromptStyle(style))
+        return [result], rows
+
+    _run(ctx, body)
 
 
 @main.command("run-all")
@@ -212,15 +188,7 @@ def evaluate(ctx: click.Context, gold: Path | None, style: str) -> None:
 @click.pass_context
 def run_all_cmd(ctx: click.Context, food: str, style: str) -> None:
     """Run fetch, build-lexicon, filter, extract, link, report and evaluate."""
-    try:
-        cfg = _load(ctx)
-        with workdir_lock(cfg.workdir):
-            results, rows = run_all(cfg, food, PromptStyle(style))
-    except _HARD_ERRORS as exc:
-        _fail(exc)
-    if rows is not None:
-        _print_grid(rows)
-    _finish(results)
+    _run(ctx, lambda cfg: run_all(cfg, food, PromptStyle(style)))
 
 
 if __name__ == "__main__":

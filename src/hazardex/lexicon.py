@@ -20,20 +20,30 @@ atomically on save.
 A name's spelling key is its letter runs joined and its digit runs in order.
 Separator changes and the swapped number keep it, and a plural only adds an
 ending to its letters, so from any surface a few candidate keys reach every
-name that can spell it. `LexiconIndex.load(path, wanted=...)` binary-searches
-the sorted records for those keys and expands only the names it finds; the
-surfaces go to their smallest `(rank, numeric id)` claimant, the build's rule,
-which does not depend on the order of the names. Such an index knows only the
-wanted surfaces and their owners and cannot be saved; when a lookup's raw
-string misses, the raw and normalized forms that lie outside `wanted` go to
-`unplanned`, for the caller to load again. The full load replays every record
-through the build's claim loop and checks the counts against the header.
-Both loads check the body against its checksum first, so a torn, cut or
-edited file is an `IndexFormatError` either way.
+name that can spell it. Every ending a plural adds or replaces is made of
+"s", "e", "i" and "y", so the keys of two names that share a surface agree
+once a final run of those letters is stripped. That stripped key is the
+name's spelling group, and no surface is claimed across two groups. The
+build claims the dump one group at a time, in dump order within a group,
+and never holds a map of every surface; a group of one name needs no map at
+all. A surface goes to its smallest `(rank, numeric id)` claimant, which
+does not depend on the order of the names; the collision count does.
+
+`LexiconIndex.load(path, wanted=...)` binary-searches the sorted records for
+the candidate keys of the wanted surfaces and claims only the names it
+finds. Such an index knows only the wanted surfaces and their owners and
+cannot be saved; when a lookup's raw string misses, the raw and normalized
+forms that lie outside `wanted` go to `unplanned`, for the caller to load
+again. The full load counts every group as the build does and checks the
+counts and owners against the header. A built or fully loaded index makes
+its surface map from its records on its first `lookup`. Both loads check the
+body against its checksum first, so a torn, cut or edited file is an
+`IndexFormatError` either way.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import io
@@ -265,26 +275,28 @@ class IndexStats:
 class LexiconIndex:
     """Immutable surface → identifier map with per-identifier display names.
 
-    `claims` maps each surface to the `(rank, numeric id, identifier)` claim
-    that won it. `records` are the sorted name records the claims came from,
-    and `stoplist` is the one they were expanded under; `save` writes both.
-    `wanted` is set on an index loaded with it: it holds only those surfaces
-    and the identifiers that own them, so a miss on a form outside them is
-    not an answer, and the form lands in `unplanned` for the caller to load
-    again.
+    `records` are the sorted name records the surfaces come from, and
+    `stoplist` is the one they are expanded under; `save` writes both. A
+    built or fully loaded index claims every record's surfaces into its map
+    on its first `lookup`, not before. `wanted` is set on an index loaded
+    with it: it holds only those surfaces and the identifiers that own them,
+    so a miss on a form outside them is not an answer, and the form lands in
+    `unplanned` for the caller to load again.
     """
 
     def __init__(
         self,
-        claims: dict[str, tuple[int, int, str]],
         id_to_name: dict[str, str],
         stats: IndexStats,
         source_checksum: str = "",
         records: list[str] | None = None,
         stoplist: frozenset[str] = frozenset(),
+        *,
+        claims: dict[str, tuple[int, int, str]] | None = None,
         wanted: frozenset[str] | None = None,
     ):
-        self._claims = claims
+        if claims is not None:
+            self._claims = claims
         self._id_to_name = id_to_name
         self.stats = stats
         self.source_checksum = source_checksum
@@ -292,6 +304,10 @@ class LexiconIndex:
         self._stoplist = stoplist
         self.wanted = wanted
         self.unplanned: set[str] = set()
+
+    @functools.cached_property
+    def _claims(self) -> dict[str, tuple[int, int, str]]:
+        return _claim(map(_parse_record, self._records), self._stoplist)[0]
 
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
@@ -370,10 +386,10 @@ class LexiconIndex:
                     chebi_id: _preferred(blob, ids_start, chebi_id)
                     for chebi_id in set(map(itemgetter(2), claims.values()))
                 }
-                return cls(claims, id_to_name, stats, source_checksum,
-                           stoplist=stoplist, wanted=wanted)
+                return cls(id_to_name, stats, source_checksum, stoplist=stoplist,
+                           claims=claims, wanted=wanted)
             records = blob[body_start : ids_start - 1].decode("utf-8").split("\n")[:-1]
-            claims, _ = _claim(map(_parse_record, records), stoplist)
+            surface_count, _, owners = _claim_groups(records, stoplist)
             id_to_name = {}
             for line in blob[ids_start:].decode("utf-8").split("\n")[:-1]:
                 chebi_id, name = line.split("\t")
@@ -381,13 +397,13 @@ class LexiconIndex:
         except (ValueError, TypeError) as exc:
             raise IndexFormatError(f"{path}: bad record ({exc}); {_REBUILD}") from exc
         declared = (stats.entry_count, stats.surface_count)
-        body = (len(id_to_name), len(claims))
-        if declared != body or id_to_name.keys() != set(map(itemgetter(2), claims.values())):
+        body = (len(id_to_name), surface_count)
+        if declared != body or id_to_name.keys() != {f"CHEBI:{n}" for n in owners}:
             raise IndexFormatError(
                 f"{path}: header declares {declared[0]} ids and {declared[1]} surfaces, "
                 f"body has {body[0]} and {body[1]}; {_REBUILD}"
             )
-        return cls(claims, id_to_name, stats, source_checksum, records, stoplist)
+        return cls(id_to_name, stats, source_checksum, records, stoplist)
 
 
 def _spelling_key(text: str) -> str:
@@ -533,6 +549,37 @@ def _claim(
     return claims, collisions
 
 
+def _group(record: str) -> str:
+    """The spelling group of a record: its key letters without a final run of
+    "s", "e", "i" and "y", the letters of every plural ending, then its key
+    digits. Two names that share a surface share a group."""
+    letters, digits, _ = record.split("\t", 2)
+    return f"{letters.rstrip('seiy')}\t{digits}"
+
+
+def _claim_groups(records: list[str], stoplist: frozenset[str]) -> tuple[int, int, set[int]]:
+    """Claim the surfaces of the `records` one spelling group at a time, each
+    group in the order of `records`: the surface count, the collisions and
+    the numeric ids that own a surface."""
+    surface_count = collisions = 0
+    owners: set[int] = set()
+    for _, group in itertools.groupby(sorted(records, key=_group), key=_group):
+        group = list(map(_parse_record, group))
+        if len(group) == 1:
+            normalized, numeric, _ = group[0]
+            surfaces = _surfaces(normalized) - stoplist
+            surfaces.discard("")
+            if surfaces:
+                surface_count += len(surfaces)
+                owners.add(numeric)
+            continue
+        claims, clashes = _claim(group, stoplist)
+        surface_count += len(claims)
+        collisions += clashes
+        owners.update(claim[1] for claim in claims.values())
+    return surface_count, collisions, owners
+
+
 def build_index(
     rows: Iterable[tuple[str, str, str]],
     stoplist: frozenset[str],
@@ -542,43 +589,37 @@ def build_index(
 ) -> LexiconIndex:
     """Build the surface index from parsed dump rows.
 
-    Pipeline per row: stoplist filter, normalize, numeric-variant expansion,
-    pluralization, insert. When two chemicals claim one surface, the claim
+    Pipeline per row: stoplist filter, normalize, record. Then each spelling
+    group's names are expanded (numeric variants, plurals) and claimed on
+    their own, in dump order. When two chemicals claim one surface, the claim
     backed by a primary NAME row beats synonym claims, then the numerically
     smaller identifier wins; every collision is counted. Identifiers come
     out as `CHEBI:<int>`.
     """
     records: list[str] = []
     preferred: dict[int, tuple[int, str]] = {}
-
-    def named() -> Iterator[tuple[str, int, int]]:
-        for chebi_id, name, name_type in rows:
-            normalized = normalize(name)
-            if normalized in stoplist:
-                continue
-            rank = 0 if name_type == "NAME" else 1
-            numeric = chebi_numeric(chebi_id)
-            if rank < preferred.get(numeric, (2,))[0]:
-                preferred[numeric] = (rank, name)
-            records.append(_record(normalized, numeric, rank))
-            yield normalized, numeric, rank
-
-    # Claimed in dump order: the collision count depends on it.
-    claims, collisions = _claim(named(), stoplist)
-    if not claims:
+    for chebi_id, name, name_type in rows:
+        normalized = normalize(name)
+        if normalized in stoplist:
+            continue
+        rank = 0 if name_type == "NAME" else 1
+        numeric = chebi_numeric(chebi_id)
+        if rank < preferred.get(numeric, (2,))[0]:
+            preferred[numeric] = (rank, name)
+        records.append(_record(normalized, numeric, rank))
+    # In dump order within each group: the collision count depends on it.
+    surface_count, collisions, owners = _claim_groups(records, stoplist)
+    if not surface_count:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
     records.sort()
-    id_to_name = {
-        chebi_id: preferred[chebi_numeric(chebi_id)][1]
-        for chebi_id in set(map(itemgetter(2), claims.values()))
-    }
+    id_to_name = {f"CHEBI:{numeric}": preferred[numeric][1] for numeric in owners}
     stats = IndexStats(
         entry_count=len(id_to_name),
-        surface_count=len(claims),
+        surface_count=surface_count,
         collisions=collisions,
         skipped_rows=parse_stats.skipped if parse_stats else 0,
     )
-    return LexiconIndex(claims, id_to_name, stats, source_checksum, records, stoplist)
+    return LexiconIndex(id_to_name, stats, source_checksum, records, stoplist)
 
 
 def header_sha256(path: str | Path) -> str:

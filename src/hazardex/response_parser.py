@@ -344,26 +344,8 @@ def candidate_to_json_dict(candidate: ExtractionCandidate) -> dict:
     }
 
 
-def candidate_from_json_dict(obj: dict) -> ExtractionCandidate:
-    return ExtractionCandidate(
-        abstract_key=obj["abstract_key"],
-        style=PromptStyle(obj["style"]),
-        food_terms={k: list(v) for k, v in obj["food_terms"].items()},
-        parse_status=obj["parse_status"],
-    )
-
-
 def write_candidates_jsonl(path, candidates: Iterable[ExtractionCandidate]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for candidate in candidates:
             fh.write(json.dumps(candidate_to_json_dict(candidate), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
-
-
-def read_candidates_jsonl(path) -> list[ExtractionCandidate]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(candidate_from_json_dict(json.loads(line)))
-    return out

@@ -107,110 +107,6 @@ def _default_stoplist():
 
 
 # --------------------------------------------------------------------------
-# stub literature API
-# --------------------------------------------------------------------------
-
-
-def provider_record(i: int, *, doi: str | None = "auto", text: str | None = None) -> dict:
-    body = text or (
-        f"Contaminant survey number {i} covering dairy farms and their supply "
-        "chains in detail sufficient for inclusion."
-    )
-    rec = {
-        "id": f"STUB{i}",
-        "title": f"Survey {i}",
-        "abstractText": body,
-        "pubYear": str(2000 + (i % 20)),
-        "pubTypeList": {"pubType": ["research-article"]},
-    }
-    if doi == "auto":
-        rec["doi"] = f"10.5555/stub{i}"
-    elif doi:
-        rec["doi"] = doi
-    return rec
-
-
-class StubApi:
-    """Cursor-paginated canned search endpoint with failure injection.
-
-    fail_plan is consumed one entry per request before any data is served:
-    an int is returned as that HTTP status; the string "garbage" returns 200
-    with a non-JSON body; None lets the request through untouched.
-    """
-
-    def __init__(self, records: list[dict], fail_plan: list | None = None):
-        self.records = records
-        self.fail_plan = list(fail_plan or [])
-        self.requests: list[dict] = []
-        handler = self._make_handler()
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    @property
-    def url(self) -> str:
-        host, port = self.server.server_address
-        return f"http://{host}:{port}/search"
-
-    def close(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-
-    def _make_handler(stub):
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_GET(self):
-                params = {k: v[0] for k, v in parse_qs(urlparse(self.path).query).items()}
-                stub.requests.append(params)
-                step = stub.fail_plan.pop(0) if stub.fail_plan else None
-                if step is not None:
-                    if step == "garbage":
-                        self.send_response(200)
-                        self.send_header("Content-Type", "application/json")
-                        self.end_headers()
-                        self.wfile.write(b"this is not json {")
-                        return
-                    self.send_response(int(step))
-                    self.end_headers()
-                    self.wfile.write(b"err")
-                    return
-                page_size = int(params.get("pageSize", "25"))
-                cursor = params.get("cursorMark", "*")
-                offset = 0 if cursor == "*" else int(cursor.removeprefix("c"))
-                chunk = stub.records[offset : offset + page_size]
-                next_offset = offset + len(chunk)
-                next_cursor = f"c{next_offset}" if next_offset < len(stub.records) else cursor
-                body = {
-                    "hitCount": len(stub.records),
-                    "nextCursorMark": next_cursor,
-                    "resultList": {"result": chunk},
-                }
-                payload = json.dumps(body).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.end_headers()
-                self.wfile.write(payload)
-
-        return Handler
-
-
-@pytest.fixture
-def stub_api():
-    stubs: list[StubApi] = []
-
-    def start(records, fail_plan=None) -> StubApi:
-        stub = StubApi(records, fail_plan)
-        stubs.append(stub)
-        return stub
-
-    yield start
-    for stub in stubs:
-        stub.close()
-
-
-# --------------------------------------------------------------------------
 # a local server with a pluggable answer: origin, forward proxy, gzip source
 # --------------------------------------------------------------------------
 
@@ -282,6 +178,84 @@ def no_proxy_env(monkeypatch):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     return monkeypatch
+
+
+# --------------------------------------------------------------------------
+# stub literature API
+# --------------------------------------------------------------------------
+
+
+def provider_record(i: int, *, doi: str | None = "auto", text: str | None = None) -> dict:
+    body = text or (
+        f"Contaminant survey number {i} covering dairy farms and their supply "
+        "chains in detail sufficient for inclusion."
+    )
+    rec = {
+        "id": f"STUB{i}",
+        "title": f"Survey {i}",
+        "abstractText": body,
+        "pubYear": str(2000 + (i % 20)),
+        "pubTypeList": {"pubType": ["research-article"]},
+    }
+    if doi == "auto":
+        rec["doi"] = f"10.5555/stub{i}"
+    elif doi:
+        rec["doi"] = doi
+    return rec
+
+
+class StubApi(LocalServer):
+    """Cursor-paginated canned search endpoint with failure injection.
+
+    fail_plan is consumed one entry per request before any data is served:
+    an int is returned as that HTTP status; the string "garbage" returns 200
+    with a non-JSON body; None lets the request through untouched.
+    """
+
+    def __init__(self, records: list[dict], fail_plan: list | None = None):
+        self.records = records
+        self.fail_plan = list(fail_plan or [])
+        self.requests: list[dict] = []
+        super().__init__(self._search)
+
+    @property
+    def url(self) -> str:
+        return f"{super().url}/search"
+
+    def _search(self, method, target, body):
+        params = {k: v[0] for k, v in parse_qs(urlparse(target).query).items()}
+        self.requests.append(params)
+        step = self.fail_plan.pop(0) if self.fail_plan else None
+        if step == "garbage":
+            return 200, {"Content-Type": "application/json"}, b"this is not json {"
+        if step is not None:
+            return int(step), {}, b"err"
+        page_size = int(params.get("pageSize", "25"))
+        cursor = params.get("cursorMark", "*")
+        offset = 0 if cursor == "*" else int(cursor.removeprefix("c"))
+        chunk = self.records[offset : offset + page_size]
+        next_offset = offset + len(chunk)
+        next_cursor = f"c{next_offset}" if next_offset < len(self.records) else cursor
+        body = {
+            "hitCount": len(self.records),
+            "nextCursorMark": next_cursor,
+            "resultList": {"result": chunk},
+        }
+        return 200, {"Content-Type": "application/json"}, json.dumps(body).encode("utf-8")
+
+
+@pytest.fixture
+def stub_api():
+    stubs: list[StubApi] = []
+
+    def start(records, fail_plan=None) -> StubApi:
+        stub = StubApi(records, fail_plan)
+        stubs.append(stub)
+        return stub
+
+    yield start
+    for stub in stubs:
+        stub.close()
 
 
 # --------------------------------------------------------------------------

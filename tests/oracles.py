@@ -198,6 +198,31 @@ def oracle_pluralize(name: str) -> set[str]:
     return {name, name + "s"}
 
 
+def oracle_surfaces(name: str) -> set[str]:
+    """Every writing variant of a normalized name, and the plural of each."""
+    return set().union(*map(oracle_pluralize, oracle_expand(name)))
+
+
+def oracle_claim(records, stoplist):
+    """The global claim: one map of every surface of every `(normalized name,
+    numeric id, rank)` record, claimed in the order given.
+
+    A surface goes to its smallest `(rank, numeric id, identifier)` claim.
+    Each claim that finds the surface held by another identifier is one
+    collision. Returns the map and the collision count.
+    """
+    claims: dict[str, tuple[int, int, str]] = {}
+    collisions = 0
+    for normalized, numeric, rank in records:
+        claim = (rank, numeric, f"CHEBI:{numeric}")
+        for surface in oracle_surfaces(normalized) - stoplist - {""}:
+            current = claims.setdefault(surface, claim)
+            if current[2] != claim[2]:
+                collisions += 1
+            claims[surface] = min(current, claim)
+    return claims, collisions
+
+
 _WORDS = (
     "aflatoxin", "vitamin", "patulin", "benzo", "pyrene", "méthyl", "straße",
     "carotène", "mercury", "alloy", "bismuth", "flash", "borax", "quartz",

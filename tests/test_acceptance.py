@@ -213,6 +213,7 @@ def test_full_scale_lexicon_build():
             default_stoplist(),
             parse_stats=stats,
         )
+        index.lookup("cadmium")  # the surface map is made on the first lookup
     assert build_watch.elapsed < 120.0
     assert index.stats.entry_count >= 100_000
     assert 1_000_000 <= index.stats.surface_count <= 2_000_000

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -33,8 +34,10 @@ from hazardex.prompting import PromptStyle
 runner = CliRunner()
 
 
-class _Crash(Exception):
-    """Stands in for the process dying at an injected point."""
+class _Crash(BaseException):
+    """Stands in for the process dying at an injected point. Like a signal or
+    KeyboardInterrupt it is not an `Exception`, so the CLI cannot turn it into
+    an exit code."""
 
 
 def invoke(*args, **kwargs):
@@ -592,6 +595,22 @@ class TestStageCommands:
         result = invoke("--config", workspace["config"], "filter", "--food", "dairy")
         assert result.exit_code == 2
         assert "locked" in result.output
+
+    def test_an_unexpected_error_is_one_line_and_exit_2(self, workspace, monkeypatch, caplog):
+        import hazardex.cli
+
+        def broken(cfg, food_name):
+            raise RuntimeError("disk gremlin")
+
+        monkeypatch.setattr(hazardex.cli, "stage_filter", broken)
+        with caplog.at_level(logging.DEBUG, logger="hazardex.cli"):
+            result = invoke("--config", workspace["config"], "filter", "--food", "dairy")
+        assert result.exit_code == 2
+        assert result.stderr == "error: RuntimeError: disk gremlin\n"
+        assert "Traceback" not in result.output
+        assert not (workspace["workdir"] / ".lock").exists()
+        # --verbose shows the traceback: it is logged at DEBUG.
+        assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [RuntimeError]
 
     def test_stale_lock_is_cleared(self, workspace):
         workdir = workspace["workdir"]

@@ -9,23 +9,27 @@ import io
 import json
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHEBI_ROWS, write_chebi_tsv
 from oracles import (
+    oracle_claim,
     oracle_expand,
     oracle_pluralize,
     oracle_spelling_key,
+    oracle_surfaces,
     random_digit_name,
     random_surface_name,
 )
 from hazardex.lexicon import (
     INDEX_VERSION,
     IndexFormatError,
+    IndexStats,
     LexiconIndex,
     _candidate_keys,
     _spelling_key,
@@ -348,8 +352,19 @@ def _read_body(path):
     return json.loads(header_line), [tuple(line.split("\t")) for line in records.split("\n")], names
 
 
-def _oracle_surfaces(name):
-    return set().union(*map(oracle_pluralize, oracle_expand(name)))
+def _seeded_dump_rows():
+    """1500 identifiers with up to three names each, in shuffled dump order; 30%
+    of the names come from a pool of 150, so many surfaces are contested."""
+    rng = random.Random(1001)
+    shared = [random_surface_name(rng) for _ in range(150)]
+    rows = []
+    for number in rng.sample(range(1, 200_000), 1500):
+        chebi_id = f"CHEBI:{number}"
+        for rank in [0] + [1] * rng.randint(0, 2):
+            name = rng.choice(shared) if rng.random() < 0.3 else random_surface_name(rng)
+            rows.append((chebi_id, name, "SYNONYM" if rank else "NAME"))
+    rng.shuffle(rows)
+    return rows
 
 
 class TestIndexPersistence:
@@ -370,15 +385,7 @@ class TestIndexPersistence:
         assert blobs[0] == blobs[1]
 
     def test_seeded_dump_saves_identical_bytes_and_matches_a_hand_fold(self, tmp_path):
-        rng = random.Random(1001)
-        shared = [random_surface_name(rng) for _ in range(150)]
-        rows = []
-        for number in rng.sample(range(1, 200_000), 1500):
-            chebi_id = f"CHEBI:{number}"
-            for rank in [0] + [1] * rng.randint(0, 2):
-                name = rng.choice(shared) if rng.random() < 0.3 else random_surface_name(rng)
-                rows.append((chebi_id, name, "SYNONYM" if rank else "NAME"))
-        rng.shuffle(rows)
+        rows = _seeded_dump_rows()
         stoplist = default_stoplist()
         paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
         for path in paths:
@@ -396,7 +403,7 @@ class TestIndexPersistence:
             letters, digits = oracle_spelling_key(normalize(name))
             records.append((letters, ",".join(digits), normalize(name),
                             str(chebi_numeric(chebi_id)), str(rank)))
-            for surface in _oracle_surfaces(normalize(name)) - stoplist:
+            for surface in oracle_surfaces(normalize(name)) - stoplist:
                 claims.setdefault(surface, []).append((rank, chebi_numeric(chebi_id), chebi_id))
         expected = {surface: min(claimants)[2] for surface, claimants in claims.items()}
 
@@ -586,7 +593,7 @@ def seeded_index_file(tmp_path_factory):
 
 def _saved_surfaces(path):
     header, records, _ = _read_body(path)
-    surfaces = set().union(*(_oracle_surfaces(name) for _, _, name, _, _ in records))
+    surfaces = set().union(*(oracle_surfaces(name) for _, _, name, _, _ in records))
     return sorted(surfaces - set(header["stoplist"]) - {""})
 
 
@@ -602,7 +609,7 @@ class TestSpellingKey:
     def check(name):
         letters, digits = oracle_spelling_key(name)
         assert _spelling_key(name) == f"{letters}\t{','.join(digits)}", name
-        for surface in _surfaces(name) | _oracle_surfaces(name):
+        for surface in _surfaces(name) | oracle_surfaces(name):
             assert _spelling_key(name) in _candidate_keys(surface), (name, surface)
 
     @pytest.mark.parametrize("name", [
@@ -710,6 +717,99 @@ class TestRestrictedLoad:
         path.write_bytes(blob[: blob.index("β".encode("utf-8")) + 1])
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
             LexiconIndex.load(path, wanted=wanted)
+
+
+# --------------------------------------------------------------------------
+# claiming one spelling group at a time, against the global claim
+# --------------------------------------------------------------------------
+
+
+def _dump_records(rows, stoplist):
+    """The `(normalized name, numeric id, rank)` records of the rows the
+    stoplist keeps, in dump order."""
+    return [
+        (normalize(name), chebi_numeric(chebi_id), 0 if name_type == "NAME" else 1)
+        for chebi_id, name, name_type in rows
+        if normalize(name) not in stoplist
+    ]
+
+
+def _check_against_the_global_claim(rows, stoplist):
+    """`build_index` has the stats, owners and answers of `oracle_claim`."""
+    claims, collisions = oracle_claim(_dump_records(rows, stoplist), stoplist)
+    if not claims:
+        with pytest.raises(LexiconSourceError):
+            build_index(rows, stoplist)
+        return None
+    owners = {chebi_id for *_, chebi_id in claims.values()}
+    idx = build_index(rows, stoplist)
+    assert idx.stats == IndexStats(len(owners), len(claims), collisions, 0)
+    assert idx._id_to_name.keys() == owners
+    assert {surface: idx.lookup(surface) for surface in claims} == {
+        surface: claim[2] for surface, claim in claims.items()}
+    misses = {normalize(name) + "qq" for _, name, _ in rows} | stoplist
+    for surface in misses - claims.keys():
+        assert idx.lookup(surface) is None, surface
+    return idx
+
+
+# Stems whose names share spelling groups through "s", "es", "ies", "e" and
+# "ie" endings, and, with a number, through its separator and its side.
+_CLASHING_STEMS = ("berr", "borax", "toxin b", "ax", "se")
+_CLASHING_ENDINGS = ("", "y", "s", "es", "ies", "ie", "e")
+
+
+@st.composite
+def clashing_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        word = draw(st.sampled_from(_CLASHING_STEMS)) + draw(st.sampled_from(_CLASHING_ENDINGS))
+        digits = draw(st.sampled_from(("", "1", "21")))
+        sep = draw(st.sampled_from(("", " ", "-")))
+        if digits:
+            word = f"{digits}{sep}{word}" if draw(st.booleans()) else f"{word}{sep}{digits}"
+        chebi_id = f"CHEBI:{draw(st.integers(1, 6))}"
+        rows.append((chebi_id, word, draw(st.sampled_from(("NAME", "SYNONYM")))))
+    return draw(st.permutations(rows))
+
+
+class TestGroupedClaim:
+    def test_seeded_dump_matches_the_global_claim(self, tmp_path):
+        rows = _seeded_dump_rows()
+        idx = _check_against_the_global_claim(rows, default_stoplist())
+        assert idx.stats.collisions > 100
+        path = tmp_path / "index.jsonl"
+        idx.save(path)
+        loaded = LexiconIndex.load(path)
+        assert loaded.stats == idx.stats
+        assert all(loaded.lookup(s) == idx.lookup(s) for s in idx._claims)
+
+    def test_awkward_rows_match_the_global_claim(self):
+        idx = _check_against_the_global_claim(_AWKWARD_ROWS, default_stoplist())
+        assert idx.stats.collisions > 0
+
+    @settings(deadline=None)
+    @given(clashing_rows(), st.sampled_from([frozenset(), frozenset({"boraxes", "ax", "1-se"})]))
+    def test_clashing_rows_match_the_global_claim(self, rows, stoplist):
+        _check_against_the_global_claim(rows, stoplist)
+
+    def test_build_peak_is_under_half_of_the_global_claim(self):
+        # A ratio of two peaks on one input, so it does not depend on the machine.
+        rows = _seeded_dump_rows()
+        stoplist = default_stoplist()
+        records = _dump_records(rows, stoplist)
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        built = peak(lambda: build_index(rows, stoplist))
+        global_claim = peak(lambda: oracle_claim(records, stoplist))
+        assert built < global_claim / 2, (built, global_claim)
 
 
 # --------------------------------------------------------------------------

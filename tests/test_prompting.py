@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import gzip
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import canned
+from conftest import LocalServer, canned
 from hazardex.corpus import AbstractRecord
 from hazardex.prompting import (
     PLACEHOLDER,
@@ -161,7 +159,7 @@ class TestMockBackend:
 # --------------------------------------------------------------------------
 
 
-class CompletionStub:
+class CompletionStub(LocalServer):
     """POST endpoint that records request bodies and replays a script.
 
     Script entries: an int HTTP status, "garbage" for a non-JSON 200 body, or
@@ -171,45 +169,24 @@ class CompletionStub:
     def __init__(self, script):
         self.script = list(script)
         self.bodies: list[dict] = []
-        self.headers_seen: list[dict] = []
-        stub = self
+        super().__init__(self._complete)
 
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", "0"))
-                stub.bodies.append(json.loads(self.rfile.read(length)))
-                stub.headers_seen.append(dict(self.headers))
-                step = stub.script.pop(0) if stub.script else {"text": ""}
-                if step == "garbage":
-                    self.send_response(200)
-                    self.end_headers()
-                    self.wfile.write(b"not json")
-                    return
-                if isinstance(step, int):
-                    self.send_response(step)
-                    self.end_headers()
-                    self.wfile.write(b"err")
-                    return
-                payload = json.dumps(step).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.end_headers()
-                self.wfile.write(payload)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+    @property
+    def headers_seen(self) -> list[dict]:
+        return [headers for _, _, headers in self.seen]
 
     @property
     def url(self):
-        host, port = self.server.server_address
-        return f"http://{host}:{port}/v1/completions"
+        return f"{super().url}/v1/completions"
 
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
+    def _complete(self, method, target, body):
+        self.bodies.append(json.loads(body))
+        step = self.script.pop(0) if self.script else {"text": ""}
+        if step == "garbage":
+            return 200, {}, b"not json"
+        if isinstance(step, int):
+            return step, {}, b"err"
+        return 200, {"Content-Type": "application/json"}, json.dumps(step).encode("utf-8")
 
 
 @pytest.fixture

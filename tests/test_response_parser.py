@@ -3,6 +3,7 @@ gating, and never-crash behavior on arbitrary text."""
 
 from __future__ import annotations
 
+import json
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -30,12 +31,10 @@ from hazardex.response_parser import (
     UNPARSEABLE,
     WELL_FORMED,
     ExtractionCandidate,
-    candidate_from_json_dict,
     candidate_to_json_dict,
     extract_mapping,
     extract_mapping_text,
     gate_by_food,
-    read_candidates_jsonl,
     to_mapping_literal,
     write_candidates_jsonl,
 )
@@ -318,7 +317,6 @@ class TestCandidateSerialization:
         obj = candidate_to_json_dict(candidate)
         assert set(obj) == {"abstract_key", "style", "parse_status", "food_terms"}
         assert obj["style"] == "simple"
-        assert candidate_from_json_dict(obj) == candidate
 
     def test_jsonl_file_round_trip(self, tmp_path):
         candidates = [
@@ -327,4 +325,5 @@ class TestCandidateSerialization:
         ]
         path = tmp_path / "candidates.jsonl"
         write_candidates_jsonl(path, candidates)
-        assert read_candidates_jsonl(path) == candidates
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == list(map(candidate_to_json_dict, candidates))

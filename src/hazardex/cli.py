@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 
+from .artifacts import ArtifactFormatError
 from .config import ConfigError, load_config
 from .evaluation import GoldFormatError
 from .lexicon import IndexFormatError, LexiconSourceError
@@ -29,7 +30,7 @@ from .pipeline import (
     stage_report,
     workdir_lock,
 )
-from .prompting import BackendError, PromptStyle, StoreFormatError, TemplateError
+from .prompting import BackendError, PromptStyle, TemplateError
 
 _HARD_ERRORS = (
     ConfigError,
@@ -39,7 +40,7 @@ _HARD_ERRORS = (
     IndexFormatError,
     TemplateError,
     BackendError,
-    StoreFormatError,
+    ArtifactFormatError,
     OSError,
 )
 
@@ -67,11 +68,22 @@ _STYLE_CHOICE = click.Choice([s.value for s in PromptStyle])
 @click.pass_context
 def main(ctx: click.Context, config_path: Path | None, workdir: Path | None, verbose: bool) -> None:
     """Mine chemical food-safety hazards from scientific abstracts."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # Each invocation logs to its own stderr at its own level. The handler
+    # sits on the package logger, not the root, whose handlers stay as they
+    # are; its level holds even where a module logger is set lower.
+    level = logging.DEBUG if verbose else logging.INFO
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(level)
+    package_log = logging.getLogger("hazardex")
+    package_log.handlers = [handler]
+    package_log.setLevel(level)
+
+    def restore() -> None:
+        package_log.removeHandler(handler)
+        package_log.setLevel(logging.NOTSET)
+
+    ctx.call_on_close(restore)
     ctx.obj = {"config_path": config_path, "workdir": workdir}
 
 

@@ -245,23 +245,3 @@ def filter_by_food(records: Iterable[AbstractRecord], food: FoodSpec) -> Iterato
     for rec in records:
         if matches_food(rec, food):
             yield rec
-
-
-def record_to_json_dict(rec: AbstractRecord) -> dict:
-    return {
-        "record_key": rec.record_key,
-        "doi": rec.doi,
-        "title": rec.title,
-        "abstract_text": rec.abstract_text,
-        "publication_year": rec.publication_year,
-    }
-
-
-def record_from_json_dict(obj: dict) -> AbstractRecord:
-    return AbstractRecord(
-        record_key=obj["record_key"],
-        doi=obj.get("doi"),
-        title=obj.get("title", ""),
-        abstract_text=obj["abstract_text"],
-        publication_year=obj.get("publication_year"),
-    )

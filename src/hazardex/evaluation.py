@@ -15,6 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import atomic_open
 from .lexicon import is_chebi_id
 from .linker import HazardTable
 
@@ -202,5 +203,5 @@ def grid_rows(
 
 
 def write_grid_csv(rows: list[list[str]], destination: str | Path) -> None:
-    with Path(destination).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(destination) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

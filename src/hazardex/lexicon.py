@@ -50,13 +50,14 @@ import io
 import itertools
 import json
 import logging
-import os
 import re
 import unicodedata
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
+
+from .artifacts import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -325,8 +326,7 @@ class LexiconIndex:
         return self._id_to_name.get(chebi_id, chebi_id)
 
     def save(self, path: str | Path) -> None:
-        """Write the artifact to a temp file beside `path`, then rename it over."""
-        path = Path(path)
+        """Write the artifact; a crash leaves the previous file (`atomic_open`)."""
         if self._records is None:
             raise ValueError(f"not saving a partly loaded index over {path}")
         encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -353,15 +353,10 @@ class LexiconIndex:
             "stoplist": sorted(self._stoplist),
             "body_sha256": digest.hexdigest(),
         }
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with tmp.open("wb") as fh:
-                fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-                fh.write(b"\n")
-                fh.writelines(body())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        with atomic_open(path, "wb") as fh:
+            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            fh.writelines(body())
 
     @classmethod
     def load(cls, path: str | Path, wanted: Iterable[str] | None = None) -> "LexiconIndex":

@@ -12,13 +12,13 @@ three ways in one abstract still counts once.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
+from .artifacts import atomic_open, write_json
 from .corpus import AbstractRecord, FoodSpec
 from .lexicon import LexiconIndex
 from .response_parser import ExtractionCandidate
@@ -186,41 +186,10 @@ def aggregate(
     return HazardTable(food=food.canonical_name, rows=tuple(rows))
 
 
-def row_to_json_dict(row: LinkedHazard) -> dict:
-    return {
-        "food": row.food,
-        "chebi_id": row.chebi_id,
-        "preferred_name": row.preferred_name,
-        "mention_count": row.mention_count,
-        "first_seen_year": row.first_seen_year,
-        "supporting_dois": list(row.supporting_dois),
-    }
-
-
-def table_to_json_dict(table: HazardTable) -> dict:
-    return {"food": table.food, "rows": [row_to_json_dict(r) for r in table.rows]}
-
-
-def table_from_json_dict(obj: dict) -> HazardTable:
-    rows = tuple(
-        LinkedHazard(
-            food=r["food"],
-            chebi_id=r["chebi_id"],
-            preferred_name=r["preferred_name"],
-            mention_count=r["mention_count"],
-            first_seen_year=r.get("first_seen_year"),
-            supporting_dois=tuple(r.get("supporting_dois", ())),
-        )
-        for r in obj["rows"]
-    )
-    return HazardTable(food=obj["food"], rows=rows)
-
-
 def emit_report(table: HazardTable, fmt: str, destination: str | Path) -> None:
     """Write one hazard table as CSV or JSON; both carry identical rows."""
-    destination = Path(destination)
     if fmt == "csv":
-        with destination.open("w", encoding="utf-8", newline="") as fh:
+        with atomic_open(destination) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(HAZARD_CSV_COLUMNS)
             for row in table.rows:
@@ -235,8 +204,6 @@ def emit_report(table: HazardTable, fmt: str, destination: str | Path) -> None:
                     ]
                 )
     elif fmt == "json":
-        with destination.open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(table_to_json_dict(table), fh, ensure_ascii=False, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(destination, table)
     else:
         raise ValueError(f"unsupported report format: {fmt!r}")

@@ -3,15 +3,14 @@
 Three prompt styles share one contract: the abstract text is substituted for
 the single {ABSTRACT} placeholder and decoding is greedy, so a (template,
 abstract) pair always yields the same prompt and, against a deterministic
-backend, the same response. Responses stream to a JSONL store as they arrive;
-a rerun skips every (abstract, style) pair already on disk.
+backend, the same response. Responses are appended to a JSONL store in
+corpus order; a rerun skips every (abstract, style) pair already on disk.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .artifacts import cut_torn_tail, json_line, read_jsonl
 from .corpus import AbstractRecord
 from .transport import Transport, Unreachable
 
@@ -232,64 +232,12 @@ def complete(backend, prompt: RenderedPrompt, params: DecodingParams) -> LlmResp
     )
 
 
-def response_to_json_dict(resp: LlmResponse) -> dict:
-    return {
-        "abstract_key": resp.abstract_key,
-        "style": resp.style.value,
-        "text": resp.text,
-        "truncated": resp.truncated,
-        "latency_ms": resp.latency_ms,
-        "backend_name": resp.backend_name,
-    }
-
-
-def response_from_json_dict(obj: dict) -> LlmResponse:
-    return LlmResponse(
-        abstract_key=obj["abstract_key"],
-        style=PromptStyle(obj["style"]),
-        text=obj["text"],
-        truncated=obj.get("truncated", False),
-        latency_ms=obj.get("latency_ms", 0.0),
-        backend_name=obj.get("backend_name", ""),
-    )
-
-
-class StoreFormatError(Exception):
-    """A response store holds a line that is not a stored response."""
-
-
-def complete_lines(path: Path) -> list[tuple[int, bytes]]:
-    """The numbered, non-blank lines of an append-only JSONL file.
-
-    A last line without its newline is an append that did not finish: it is
-    left out with a warning, and `cut_torn_tail` removes it before the next
-    append.
-    """
-    lines = path.read_bytes().split(b"\n")
-    if lines[-1]:
-        log.warning("%s: ignoring a torn last line of %d bytes", path, len(lines[-1]))
-    return [(line_no, line) for line_no, line in enumerate(lines[:-1], start=1) if line.strip()]
-
-
-def cut_torn_tail(fh, path: Path) -> None:
-    """Cut a last line without its newline from `fh`, a binary file opened
-    for reading and writing, so the next append starts on a line of its own."""
-    end = fh.seek(0, os.SEEK_END)
-    if end:
-        fh.seek(end - 1)
-        if fh.read(1) != b"\n":
-            fh.seek(0)
-            keep = fh.read().rfind(b"\n") + 1
-            log.warning("%s: cutting a torn last line of %d bytes", path, end - keep)
-            fh.truncate(keep)
-
-
 class ResponseStore:
     """Append-only JSONL sink; what is on disk is never re-requested.
 
     A last line without its newline is an append that did not finish: `load`
     leaves it out and the next `append` cuts it off, so its prompt is
-    requested again. Any other unreadable line is a `StoreFormatError`.
+    requested again. Any other unreadable line is an `ArtifactFormatError`.
     """
 
     def __init__(self, path: str | Path):
@@ -298,26 +246,22 @@ class ResponseStore:
     def load(self) -> list[LlmResponse]:
         if not self.path.exists():
             return []
-        responses = []
-        for line_no, line in complete_lines(self.path):
-            try:
-                responses.append(response_from_json_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StoreFormatError(
-                    f"{self.path}: line {line_no} is not a stored response ({exc!r}); "
-                    "move the file aside to request every prompt again"
-                ) from exc
-        return responses
+        return read_jsonl(
+            self.path,
+            lambda obj: LlmResponse(**{**obj, "style": PromptStyle(obj["style"])}),
+            "a stored response",
+            "delete the file to request every prompt again",
+            append_only=True,
+        )
 
     def completed_pairs(self) -> set[tuple[str, str]]:
         return {(r.abstract_key, r.style.value) for r in self.load()}
 
     def append(self, response: LlmResponse) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(response_to_json_dict(response), ensure_ascii=False, sort_keys=True)
         with self.path.open("a+b") as fh:
             cut_torn_tail(fh, self.path)
-            fh.write(line.encode("utf-8") + b"\n")
+            fh.write(json_line(response).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -346,8 +290,11 @@ def run_extraction(
     """Prompt the backend once per abstract not already in the store.
 
     One failing abstract never aborts the batch: the failure is recorded and
-    the run carries on. Responses are appended to the store in corpus order
-    as they complete, so an interrupted run resumes where it stopped.
+    the run carries on. Responses are appended to the store in corpus order,
+    not as they complete: with `concurrency` above 1, `Executor.map` yields
+    them in input order, so an answer that finished early waits in memory
+    behind every slower one before it. An interrupted run loses the answers
+    not yet appended and resumes after the last one that was.
     """
     records = list(records)
     done = store.completed_pairs()
@@ -365,9 +312,8 @@ def run_extraction(
             log.warning("completion failed for %s: %s", prompt.abstract_key, exc)
             return ExtractionFailure(prompt.abstract_key, str(exc))
 
-    # Outcomes are appended in corpus order as they stream back (Executor.map
-    # preserves input order), so the store grows incrementally and stays
-    # deterministic for a given corpus and fixture set.
+    # Appending in input order keeps the store deterministic for a given
+    # corpus and fixture set.
     new_count = 0
 
     def _drain(outcomes) -> None:

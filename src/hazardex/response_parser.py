@@ -27,10 +27,8 @@ and compiled regexes instead of one step per character:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from .corpus import FoodSpec
 from .prompting import LlmResponse, PromptStyle
@@ -333,19 +331,3 @@ def to_mapping_literal(candidate: ExtractionCandidate) -> str:
         for key, hazards in candidate.food_terms.items()
     )
     return "{" + inner + "}"
-
-
-def candidate_to_json_dict(candidate: ExtractionCandidate) -> dict:
-    return {
-        "abstract_key": candidate.abstract_key,
-        "style": candidate.style.value,
-        "parse_status": candidate.parse_status,
-        "food_terms": candidate.food_terms,
-    }
-
-
-def write_candidates_jsonl(path, candidates: Iterable[ExtractionCandidate]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for candidate in candidates:
-            fh.write(json.dumps(candidate_to_json_dict(candidate), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")

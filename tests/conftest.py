@@ -375,12 +375,12 @@ def write_gold_csv(path: Path, rows=E2E_GOLD_ROWS) -> Path:
 
 def make_workspace(root: Path, *, with_gold: bool = True) -> dict:
     """Lay out config + inputs + adopted corpus under one directory."""
-    from hazardex.pipeline import _write_records_jsonl
+    from hazardex.artifacts import write_jsonl
 
     root.mkdir(parents=True, exist_ok=True)
     workdir = root / "work"
     (workdir / "abstracts").mkdir(parents=True)
-    _write_records_jsonl(workdir / "abstracts" / "abstracts.jsonl", e2e_records())
+    write_jsonl(workdir / "abstracts" / "abstracts.jsonl", e2e_records())
     write_chebi_tsv(root / "chebi_names.tsv")
     write_mock_fixtures(root / "fixtures")
     gold_line = ""

@@ -4,12 +4,15 @@ local fixtures and a stub literature API."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
-from datetime import date
+from contextlib import contextmanager
+from datetime import date, datetime
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,6 @@ from conftest import (
 )
 from hazardex.cli import main
 from hazardex.config import ConfigError, load_config
-from hazardex.corpus import record_to_json_dict
 from hazardex.prompting import PromptStyle
 
 
@@ -612,6 +614,34 @@ class TestStageCommands:
         # --verbose shows the traceback: it is logged at DEBUG.
         assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [RuntimeError]
 
+    def test_each_invocation_logs_to_its_own_stderr_at_its_own_level(self, workspace, monkeypatch):
+        import hazardex.cli
+
+        quiet = invoke("--config", workspace["config"], "filter", "--food", "dairy")
+        assert quiet.exit_code == 0, quiet.output
+        assert "INFO hazardex.pipeline: filter__dairy:" in quiet.stderr
+        assert "DEBUG" not in quiet.stderr
+
+        def broken(cfg, food_name):
+            raise RuntimeError("disk gremlin")
+
+        monkeypatch.setattr(hazardex.cli, "stage_filter", broken)
+        loud = invoke("--config", workspace["config"], "--verbose", "filter", "--food", "dairy")
+        assert loud.exit_code == 2
+        assert "DEBUG hazardex.cli: unexpected failure\nTraceback" in loud.stderr
+
+    def test_manifest_records_when_the_stage_started_and_finished(self, workspace):
+        result = invoke("--config", workspace["config"], "filter", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        manifest = json.loads(
+            (workspace["workdir"] / "abstracts" / "filter__dairy.manifest.json").read_text("utf-8")
+        )
+        started = datetime.fromisoformat(manifest["started_at"])
+        finished = datetime.fromisoformat(manifest["finished_at"])
+        assert started <= finished
+        assert isinstance(manifest["duration_s"], float)
+        assert 0 <= manifest["duration_s"] < 60
+
     def test_stale_lock_is_cleared(self, workspace):
         workdir = workspace["workdir"]
         (workdir / ".lock").write_text("999999999", encoding="utf-8")
@@ -701,6 +731,15 @@ class TestRunAll:
                 ws_steps["workdir"] / "reports" / name
             ).read_bytes(), name
 
+    def test_every_manifest_records_its_timing(self, workspace):
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        manifests = sorted(workspace["workdir"].rglob("*.manifest.json"))
+        assert len(manifests) == 7
+        for path in manifests:
+            manifest = json.loads(path.read_text("utf-8"))
+            assert {"started_at", "finished_at", "duration_s"} <= set(manifest), path.name
+
     def test_workdir_flag_overrides_the_config(self, workspace, tmp_path):
         override = tmp_path / "override"
         # the adopted corpus lives in the config workdir, so point the flag at
@@ -715,6 +754,148 @@ class TestRunAll:
         assert result.exit_code == 0, result.output
         assert (override / "reports" / "hazards__dairy__step_by_step.csv").exists()
         assert not (workspace["workdir"] / "reports").exists()
+
+
+# --------------------------------------------------------------------------
+# crash safety: a crash while writing an artifact leaves the previous one
+# --------------------------------------------------------------------------
+
+
+class _CrashAfterFirstLine:
+    """A file opened for writing that raises `_Crash` once it has been given
+    a whole line, leaving what it wrote so far on disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        written = self._fh.write(data)
+        if ("\n" if isinstance(data, str) else b"\n") in data:
+            self._fh.close()
+            raise _Crash
+        return written
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@contextmanager
+def crash_writing(target: str):
+    """Every file opened for writing whose path ends with `target`, or with
+    `target` plus ".tmp", crashes after its first line."""
+    real_open = io.open
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = os.fspath(file) if isinstance(file, (str, os.PathLike)) else ""
+        if set(mode) & set("wax+") and name.endswith((target, target + ".tmp")):
+            return _CrashAfterFirstLine(fh)
+        return fh
+
+    with mock.patch("io.open", crashing_open), mock.patch("builtins.open", crashing_open):
+        yield
+
+
+def two_style_workspace(root):
+    ws = make_workspace(root)
+    write_mock_fixtures(ws["root"] / "fixtures", PromptStyle.SIMPLE)
+    return ws
+
+
+def run_two_styles(ws):
+    for style in ("step_by_step", "simple"):
+        result = invoke("--config", ws["config"], "run-all", "--food", "dairy", "--style", style)
+        assert result.exit_code == 0, result.output
+
+
+def artifact_bytes(workdir):
+    """Every artifact but the manifests and the responses, whose latencies vary."""
+    return {
+        str(p.relative_to(workdir)): p.read_bytes()
+        for p in sorted(workdir.rglob("*"))
+        if p.is_file() and not p.name.endswith(".manifest.json") and p.parent.name != "responses"
+    }
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_artifacts(tmp_path_factory):
+    ws = two_style_workspace(tmp_path_factory.mktemp("uninterrupted"))
+    run_two_styles(ws)
+    return artifact_bytes(ws["workdir"])
+
+
+@pytest.mark.parametrize("target", [
+    "lexicon/index.jsonl",
+    "lexicon/build_report.json",
+    "abstracts/filtered__dairy.jsonl",
+    "candidates/dairy__step_by_step.jsonl",
+    "tables/dairy__step_by_step.json",
+    "candidates/link__dairy__step_by_step.manifest.json",
+    "reports/hazards__dairy__step_by_step.csv",
+    "reports/hazards__dairy__step_by_step.json",
+    "reports/accuracy__step_by_step.csv",
+    "reports/accuracy__step_by_step.json",
+    "reports/comparison.csv",
+    "reports/comparison.json",
+])
+def test_crash_while_writing_an_artifact_keeps_the_previous_one(
+    tmp_path, target, uninterrupted_artifacts
+):
+    ws = two_style_workspace(tmp_path / "ws")
+    path = ws["workdir"] / target
+    # First on a fresh workdir, where there is no previous file, then on a
+    # finished one whose manifests are gone, so every stage writes again.
+    for rewrite in (False, True):
+        if rewrite:
+            for manifest in ws["workdir"].rglob("*.manifest.json"):
+                manifest.unlink()
+        previous = path.read_bytes() if path.exists() else None
+        with crash_writing(target), pytest.raises(_Crash):
+            run_two_styles(ws)
+        assert (path.read_bytes() if path.exists() else None) == previous
+        assert not path.with_name(path.name + ".tmp").exists()
+        run_two_styles(ws)
+        assert artifact_bytes(ws["workdir"]) == uninterrupted_artifacts
+
+
+def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stub_api):
+    stub = stub_api([provider_record(i) for i in range(25)])
+    config, workdir = fetch_workspace(tmp_path, stub.url)
+    assert invoke("--config", config, "fetch").exit_code == 0
+    path = workdir / "abstracts" / "abstracts.jsonl"
+    previous = path.read_bytes()
+    (workdir / "abstracts" / "fetch.manifest.json").unlink()
+    with crash_writing("abstracts/abstracts.jsonl"), pytest.raises(_Crash):
+        invoke("--config", config, "fetch")
+    assert path.read_bytes() == previous
+    healed = invoke("--config", config, "fetch")
+    assert healed.exit_code == 0, healed.output
+    assert path.read_bytes() == previous
+
+
+def test_benchmark_spans_find_every_traced_name(monkeypatch):
+    """perfbench wraps these names by attribute: a refactor that drops one
+    fails here rather than in the next traced benchmark run."""
+    import hazardex.cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    for stage in spans.STAGES:
+        assert callable(getattr(hazardex.cli, f"stage_{stage}")), stage
 
 
 def test_importing_the_cli_leaves_requests_unloaded():

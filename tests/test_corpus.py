@@ -3,6 +3,7 @@ and the provider search query."""
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import date
 
@@ -25,10 +26,10 @@ from hazardex.corpus import (
     clean_text,
     dedupe,
     filter_by_food,
-    record_from_json_dict,
     record_key_for,
-    record_to_json_dict,
 )
+from hazardex.artifacts import json_line, write_jsonl
+from hazardex.pipeline import _read_records
 
 
 def make_raw(text, *, source_id="S1", doi="10.1/x", year=2020, types=()):
@@ -289,9 +290,10 @@ class TestSearchQuery:
 class TestRecordSerialization:
     def test_json_dict_uses_the_documented_keys(self):
         rec = clean_record(make_raw(LONG_BODY))
-        obj = record_to_json_dict(rec)
+        obj = json.loads(json_line(rec))
         assert set(obj) == {"doi", "title", "abstract_text", "publication_year", "record_key"}
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rec = clean_record(make_raw(LONG_BODY, doi=None))
-        assert record_from_json_dict(record_to_json_dict(rec)) == rec
+        write_jsonl(tmp_path / "records.jsonl", [rec])
+        assert _read_records(tmp_path / "records.jsonl") == [rec]

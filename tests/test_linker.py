@@ -25,9 +25,9 @@ from hazardex.linker import (
     emit_report,
     link_candidate,
     resolve_abbreviation,
-    table_from_json_dict,
-    table_to_json_dict,
 )
+from hazardex.artifacts import write_json
+from hazardex.pipeline import _read_table
 from hazardex.prompting import PromptStyle
 from hazardex.response_parser import ExtractionCandidate
 
@@ -330,6 +330,7 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(sample_table(lexicon_index), "xml", tmp_path / "t.xml")
 
-    def test_table_json_round_trip(self, lexicon_index):
+    def test_table_json_round_trip(self, lexicon_index, tmp_path):
         table = sample_table(lexicon_index)
-        assert table_from_json_dict(table_to_json_dict(table)) == table
+        write_json(tmp_path / "table.json", table)
+        assert _read_table(tmp_path / "table.json") == table

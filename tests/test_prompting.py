@@ -25,10 +25,9 @@ from hazardex.prompting import (
     fixture_filename,
     load_template,
     render_prompt,
-    response_from_json_dict,
-    response_to_json_dict,
     run_extraction,
 )
+from hazardex.artifacts import json_line
 
 PARAMS = DecodingParams()
 
@@ -332,9 +331,10 @@ class TestResponseStore:
         assert store.load() == [first, second]
         assert store.completed_pairs() == {("a", "simple"), ("b", "pseudo_code")}
 
-    def test_json_dict_round_trip(self):
+    def test_json_dict_round_trip(self, tmp_path):
         resp = make_response("x", PromptStyle.STEP_BY_STEP, "text")
-        assert response_from_json_dict(response_to_json_dict(resp)) == resp
+        (tmp_path / "r.jsonl").write_text(json_line(resp), encoding="utf-8")
+        assert ResponseStore(tmp_path / "r.jsonl").load() == [resp]
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert ResponseStore(tmp_path / "absent.jsonl").load() == []

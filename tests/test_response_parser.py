@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
+from dataclasses import asdict
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
 )
 from parser_fixtures import FIXTURES
 from hazardex import response_parser
+from hazardex.artifacts import json_line, write_jsonl
 from hazardex.corpus import FoodSpec
 from hazardex.prompting import LlmResponse, PromptStyle
 from hazardex.response_parser import (
@@ -31,12 +33,10 @@ from hazardex.response_parser import (
     UNPARSEABLE,
     WELL_FORMED,
     ExtractionCandidate,
-    candidate_to_json_dict,
     extract_mapping,
     extract_mapping_text,
     gate_by_food,
     to_mapping_literal,
-    write_candidates_jsonl,
 )
 
 
@@ -314,7 +314,7 @@ class TestGating:
 class TestCandidateSerialization:
     def test_json_dict_round_trip(self):
         candidate = make_candidate({"dairy": ["Cd", "Pb"]}, status=RECOVERED, key="10.1/s")
-        obj = candidate_to_json_dict(candidate)
+        obj = json.loads(json_line(candidate))
         assert set(obj) == {"abstract_key", "style", "parse_status", "food_terms"}
         assert obj["style"] == "simple"
 
@@ -324,6 +324,8 @@ class TestCandidateSerialization:
             make_candidate({}, status=UNPARSEABLE, key="b"),
         ]
         path = tmp_path / "candidates.jsonl"
-        write_candidates_jsonl(path, candidates)
+        write_jsonl(path, candidates)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == list(map(candidate_to_json_dict, candidates))
+        assert [json.loads(line) for line in lines] == [
+            {**asdict(c), "style": c.style.value} for c in candidates
+        ]

@@ -46,7 +46,13 @@ _HARD_ERRORS = (
 
 log = logging.getLogger(__name__)
 
-_STYLE_CHOICE = click.Choice([s.value for s in PromptStyle])
+_food_option = click.option("--food", required=True, help="Food of interest.")
+_style_option = click.option(
+    "--style",
+    type=click.Choice([s.value for s in PromptStyle]),
+    default=PromptStyle.STEP_BY_STEP.value,
+    callback=lambda ctx, param, value: PromptStyle(value),
+)
 
 
 @click.group()
@@ -88,14 +94,14 @@ def main(ctx: click.Context, config_path: Path | None, workdir: Path | None, ver
 
 
 def _run(ctx: click.Context, body) -> None:
-    """Load the config, run `body(cfg)` under the workdir lock and print what
-    it returns: a list of stage results and an optional accuracy grid. Any
+    """Load the config, run `body(cfg)` under the workdir lock and print the
+    stage results it returns, grids first; partial failures exit 1. Any
     exception is one `error:` line and exit 2; --verbose logs its traceback."""
     opts = ctx.obj
     try:
         cfg = load_config(opts["config_path"], workdir=opts["workdir"])
         with workdir_lock(cfg.workdir):
-            results, rows = body(cfg)
+            results = body(cfg)
     except Exception as exc:
         message = str(exc)
         if not isinstance(exc, _HARD_ERRORS):
@@ -103,9 +109,14 @@ def _run(ctx: click.Context, body) -> None:
             message = f"{type(exc).__name__}: {message}"
         click.echo(f"error: {message}", err=True)
         raise SystemExit(2)
-    if rows is not None:
-        _print_grid(rows)
-    _finish(results)
+    for grid in (r.grid for r in results if r.grid):
+        widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
+        for row in grid:
+            click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    for result in results:
+        click.echo(_describe(result))
+    if any(r.failures for r in results):
+        raise SystemExit(1)
 
 
 def _describe(result: StageResult) -> str:
@@ -116,91 +127,70 @@ def _describe(result: StageResult) -> str:
     return f"{result.stage}: {body}" if body else f"{result.stage}: done"
 
 
-def _finish(results: list[StageResult]) -> None:
-    for result in results:
-        click.echo(_describe(result))
-    if any(r.failures for r in results):
-        raise SystemExit(1)
-
-
-def _print_grid(rows: list[list[str]]) -> None:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
 @main.command()
 @click.pass_context
 def fetch(ctx: click.Context) -> None:
     """Download, clean and deduplicate the abstract corpus."""
-    _run(ctx, lambda cfg: ([stage_fetch(cfg)], None))
+    _run(ctx, lambda cfg: [stage_fetch(cfg)])
 
 
 @main.command("build-lexicon")
 @click.pass_context
 def build_lexicon(ctx: click.Context) -> None:
     """Build the chemical-name surface index from the names dump."""
-    _run(ctx, lambda cfg: ([stage_build_lexicon(cfg)], None))
+    _run(ctx, lambda cfg: [stage_build_lexicon(cfg)])
 
 
 @main.command("filter")
-@click.option("--food", required=True, help="Food of interest, e.g. leafy_greens.")
+@_food_option
 @click.pass_context
 def filter_cmd(ctx: click.Context, food: str) -> None:
     """Select the abstracts mentioning a configured food."""
-    _run(ctx, lambda cfg: ([stage_filter(cfg, food)], None))
+    _run(ctx, lambda cfg: [stage_filter(cfg, food)])
 
 
 @main.command()
-@click.option("--food", required=True, help="Food of interest.")
-@click.option("--style", type=_STYLE_CHOICE, default=PromptStyle.STEP_BY_STEP.value)
+@_food_option
+@_style_option
 @click.pass_context
-def extract(ctx: click.Context, food: str, style: str) -> None:
+def extract(ctx: click.Context, food: str, style: PromptStyle) -> None:
     """Prompt the model on each filtered abstract, storing raw responses."""
-    _run(ctx, lambda cfg: ([stage_extract(cfg, food, PromptStyle(style))], None))
+    _run(ctx, lambda cfg: [stage_extract(cfg, food, style)])
 
 
 @main.command()
-@click.option("--food", required=True, help="Food of interest.")
-@click.option("--style", type=_STYLE_CHOICE, default=PromptStyle.STEP_BY_STEP.value)
+@_food_option
+@_style_option
 @click.pass_context
-def link(ctx: click.Context, food: str, style: str) -> None:
+def link(ctx: click.Context, food: str, style: PromptStyle) -> None:
     """Parse stored responses and link hazard names to identifiers."""
-    _run(ctx, lambda cfg: ([stage_link(cfg, food, PromptStyle(style))], None))
+    _run(ctx, lambda cfg: [stage_link(cfg, food, style)])
 
 
 @main.command()
-@click.option("--food", required=True, help="Food of interest.")
+@_food_option
 @click.pass_context
 def report(ctx: click.Context, food: str) -> None:
     """Write CSV and JSON hazard reports for every linked table of a food."""
-    _run(ctx, lambda cfg: ([stage_report(cfg, food)], None))
+    _run(ctx, lambda cfg: [stage_report(cfg, food)])
 
 
 @main.command()
 @click.option("--gold", type=click.Path(path_type=Path), default=None, help="Gold judgments CSV.")
-@click.option("--style", type=_STYLE_CHOICE, default=PromptStyle.STEP_BY_STEP.value)
+@_style_option
 @click.pass_context
-def evaluate(ctx: click.Context, gold: Path | None, style: str) -> None:
+def evaluate(ctx: click.Context, gold: Path | None, style: PromptStyle) -> None:
     """Score linked tables against gold judgments and print the accuracy grid."""
-
-    def body(cfg):
-        gold_path = gold if gold is not None else cfg.gold_path
-        if gold_path is None:
-            raise PipelineError("no gold file: pass --gold or set evaluation.gold in the config")
-        result, rows = stage_evaluate(cfg, gold_path, PromptStyle(style))
-        return [result], rows
-
-    _run(ctx, body)
+    _run(ctx, lambda cfg: [stage_evaluate(cfg, gold or cfg.gold_path, style)])
 
 
 @main.command("run-all")
-@click.option("--food", required=True, help="Food of interest.")
-@click.option("--style", type=_STYLE_CHOICE, default=PromptStyle.STEP_BY_STEP.value)
+@_food_option
+@_style_option
 @click.pass_context
-def run_all_cmd(ctx: click.Context, food: str, style: str) -> None:
+def run_all_cmd(ctx: click.Context, food: str, style: PromptStyle) -> None:
     """Run fetch, build-lexicon, filter, extract, link, report and evaluate."""
-    _run(ctx, lambda cfg: run_all(cfg, food, PromptStyle(style)))
+    _run(ctx, lambda cfg: run_all(cfg, food, style))
 
 
 if __name__ == "__main__":

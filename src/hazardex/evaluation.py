@@ -22,8 +22,6 @@ from .linker import HazardTable
 VERDICT_CORRECT = "correct"
 VERDICT_INCORRECT = "incorrect"
 
-GOLD_COLUMNS = ("food", "chebi_id", "verdict", "note")
-
 
 class GoldFormatError(Exception):
     """The gold CSV is malformed; the message names the offending row."""

@@ -1,14 +1,16 @@
 """Staged pipeline over a workdir: fetch, lexicon, filter, extract, link, report, evaluate.
 
-Every stage runs through `_stage`, which writes the stage's outputs plus a
-manifest recording the hashes of its inputs, the byte sizes of its outputs,
-its counts and its timing; rerunning a stage whose inputs are unchanged,
-whose outputs keep those sizes and whose counts record no failures is a
-no-op. Fetching additionally keeps its own cursor state so an interrupted
-crawl resumes instead of refetching, and extraction skips every (abstract,
-style) pair the response store already holds. All data goes to files under
-the workdir, written through `artifacts`; a `.lock` file keeps concurrent
-runs off the same workdir.
+Every stage runs through `_stage`. It refuses a stage whose input is missing
+before hashing or writing anything, naming the command that makes the input
+or the config key that names it. Otherwise it writes the stage's outputs,
+making their directories, plus a manifest recording the hashes of its
+inputs, the byte sizes of its outputs, its counts and its timing; rerunning a
+stage whose inputs are unchanged, whose outputs keep those sizes and whose
+counts record no failures is a no-op. Fetching additionally keeps its own
+cursor state so an interrupted crawl resumes instead of refetching, and
+extraction skips every (abstract, style) pair the response store already
+holds. All data goes to files under the workdir, written through
+`artifacts`; a `.lock` file keeps concurrent runs off the same workdir.
 """
 
 from __future__ import annotations
@@ -91,7 +93,12 @@ class StageResult:
     stage: str
     skipped: bool
     counts: dict = field(default_factory=dict)
-    failures: int = 0
+    # `evaluate`'s accuracy grid, header row first, for the CLI to print.
+    grid: list[list[str]] | None = None
+
+    @property
+    def failures(self) -> int:
+        return self.counts.get("failed", 0)
 
 
 def _now() -> str:
@@ -115,12 +122,6 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-def _area(cfg: PipelineConfig, name: str) -> Path:
-    path = cfg.workdir / name
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _output_sizes(outputs) -> dict[str, int | None]:
     return {p.name: p.stat().st_size if p.exists() else None for p in map(Path, outputs)}
 
@@ -142,23 +143,39 @@ def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
     return counts
 
 
-def _stage(name: str, manifest: Path, signature, outputs: list[Path], work) -> StageResult:
-    """Skip the stage when `_fresh` says so; otherwise `work()` writes the
-    outputs and returns the counts, and the manifest records them with the
-    signature, the output sizes and when the work started and finished. The
-    count "failed" is the result's number of partial failures."""
+def _check(inputs) -> None:
+    """Refuse a stage whose input is missing. Each input is (path, remedy): a
+    `*` in the name needs one match, and None is a path the config lacks."""
+    for path, remedy in inputs:
+        if path is None:
+            raise PipelineError(f"no path configured; {remedy}")
+        path = Path(path)
+        if not (any(path.parent.glob(path.name)) if "*" in path.name else path.exists()):
+            raise PipelineError(f"{path} not found; {remedy}")
+
+
+def _stage(name: str, manifest: Path, inputs, signature, outputs: list[Path], work) -> StageResult:
+    """Check the inputs, then compute `signature()` and skip the stage when
+    `_fresh` says so; otherwise make the output directories, and `work()`
+    writes the outputs and returns the counts, which the manifest records
+    with the signature, the output sizes and when the work started and
+    finished. The count "failed" is the result's number of partial failures."""
+    _check(inputs)
+    sig = signature()
     started, clock = _now(), time.perf_counter()
     label = manifest.name.removesuffix(".manifest.json")
-    previous = _fresh(manifest, signature, outputs)
+    previous = _fresh(manifest, sig, outputs)
     if previous is not None:
         log.info("%s: inputs unchanged, keeping %s", label, ", ".join(p.name for p in outputs))
         return StageResult(name, skipped=True, counts=previous)
+    for directory in {p.parent for p in (manifest, *outputs)}:
+        directory.mkdir(parents=True, exist_ok=True)
     counts = work()
     _write_json(
         manifest,
         {
             "stage": name,
-            "input_hashes": _canon(signature),
+            "input_hashes": _canon(sig),
             "output_sizes": _output_sizes(outputs),
             "started_at": started,
             "finished_at": _now(),
@@ -167,7 +184,7 @@ def _stage(name: str, manifest: Path, signature, outputs: list[Path], work) -> S
         },
     )
     log.info("%s: %s", label, {k: v for k, v in counts.items() if not isinstance(v, list)})
-    return StageResult(name, skipped=False, counts=counts, failures=counts.get("failed", 0))
+    return StageResult(name, skipped=False, counts=counts)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -237,7 +254,7 @@ def _stem(food_name: str, style: PromptStyle) -> str:
 
 def stage_fetch(cfg: PipelineConfig) -> StageResult:
     """Fetch, clean and dedupe the corpus into abstracts/abstracts.jsonl."""
-    area = _area(cfg, "abstracts")
+    area = cfg.workdir / "abstracts"
     out = area / "abstracts.jsonl"
     query = build_search_query(cfg.cutoff_date)
     signature = {
@@ -246,14 +263,13 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
         "page_size": cfg.page_size,
     }
 
+    # Without an endpoint the stage adopts the corpus already in place.
+    inputs = [] if cfg.api_endpoint else [(out, "set api.endpoint")]
+
     def work() -> dict:
         if not cfg.api_endpoint:
-            if out.exists():
-                log.info("fetch: no endpoint configured, adopting existing %s", out)
-                return {"kept": len(_read_records(out)), "adopted": True}
-            raise PipelineError(
-                "api.endpoint is not configured and no abstracts artifact exists to adopt"
-            )
+            log.info("fetch: no endpoint configured, adopting existing %s", out)
+            return {"kept": len(_read_records(out)), "adopted": True}
         raw_path = area / "raw_records.jsonl"
         state_path = area / "fetch_state.json"
         state_sig = _hash_obj(signature)
@@ -338,33 +354,34 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
             **{f"rejected_{reason}": n for reason, n in sorted(rejected.items())},
         }
 
-    return _stage("fetch", area / "fetch.manifest.json", signature, [out], work)
+    return _stage("fetch", area / "fetch.manifest.json", inputs, lambda: signature, [out], work)
 
 
 def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
     """Parse the names dump and serialize the surface index."""
-    if cfg.chebi_dump is None:
-        raise PipelineError("lexicon.chebi_dump is not configured")
-    dump = Path(cfg.chebi_dump)
-    if not dump.exists():
-        raise PipelineError(f"names dump not found: {dump}")
-    if cfg.stoplist_path is not None and not Path(cfg.stoplist_path).exists():
-        raise PipelineError(f"stoplist not found: {cfg.stoplist_path}")
-    area = _area(cfg, "lexicon")
+    area = cfg.workdir / "lexicon"
     out = area / "index.jsonl"
     report_path = area / "build_report.json"
-    stoplist = load_stoplist(cfg.stoplist_path) if cfg.stoplist_path else default_stoplist()
-    checksum = file_sha256(dump)
-    signature = {
-        "dump_sha256": checksum,
-        "stoplist_sha256": _hash_obj(sorted(stoplist)),
-        "index_version": INDEX_VERSION,
-    }
+    inputs = [(cfg.chebi_dump, "set lexicon.chebi_dump")]
+    if cfg.stoplist_path is not None:
+        inputs.append((cfg.stoplist_path, "set lexicon.stoplist"))
+    # `work` builds from what the signature read, so the dump is hashed once.
+    stoplist, checksum = frozenset(), ""
+
+    def signature() -> dict:
+        nonlocal stoplist, checksum
+        stoplist = load_stoplist(cfg.stoplist_path) if cfg.stoplist_path else default_stoplist()
+        checksum = file_sha256(cfg.chebi_dump)
+        return {
+            "dump_sha256": checksum,
+            "stoplist_sha256": _hash_obj(sorted(stoplist)),
+            "index_version": INDEX_VERSION,
+        }
 
     def work() -> dict:
         stats = ParseStats()
         index = build_index(
-            parse_chebi_source(dump, stats),
+            parse_chebi_source(cfg.chebi_dump, stats),
             stoplist,
             source_checksum=checksum,
             parse_stats=stats,
@@ -374,18 +391,16 @@ def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
         _write_json(report_path, counts)
         return counts
 
-    return _stage("build-lexicon", area / "build.manifest.json", signature, [out, report_path], work)
+    manifest = area / "build.manifest.json"
+    return _stage("build-lexicon", manifest, inputs, signature, [out, report_path], work)
 
 
 def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
     """Write the per-food slice of the corpus."""
     food = cfg.food(food_name)
-    area = _area(cfg, "abstracts")
+    area = cfg.workdir / "abstracts"
     src = area / "abstracts.jsonl"
-    if not src.exists():
-        raise PipelineError(f"no abstracts artifact at {src}; run fetch first")
     out = area / f"filtered__{food_name}.jsonl"
-    signature = {"abstracts_sha256": file_sha256(src), "keywords": sorted(food.keywords)}
 
     def work() -> dict:
         records = _read_records(src)
@@ -393,15 +408,15 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
         write_jsonl(out, kept)
         return {"input": len(records), "matched": len(kept)}
 
-    return _stage("filter", area / f"filter__{food_name}.manifest.json", signature, [out], work)
+    def signature() -> dict:
+        return {"abstracts_sha256": file_sha256(src), "keywords": sorted(food.keywords)}
+
+    manifest = area / f"filter__{food_name}.manifest.json"
+    return _stage("filter", manifest, [(src, "run fetch first")], signature, [out], work)
 
 
 def _make_backend(cfg: PipelineConfig):
     if cfg.backend_kind == "mock":
-        if cfg.fixtures_dir is None:
-            raise PipelineError("backend.fixtures_dir is required for the mock backend")
-        if not Path(cfg.fixtures_dir).is_dir():
-            raise PipelineError(f"fixtures directory not found: {cfg.fixtures_dir}")
         return MockBackend(cfg.fixtures_dir)
     if not cfg.backend_url:
         raise PipelineError("backend.url is required for the http backend")
@@ -410,28 +425,30 @@ def _make_backend(cfg: PipelineConfig):
 
 def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
     """Prompt the backend for every filtered abstract not yet answered."""
-    src = _area(cfg, "abstracts") / f"filtered__{food_name}.jsonl"
-    if not src.exists():
-        raise PipelineError(f"no filtered corpus at {src}; run filter first")
-    area = _area(cfg, "responses")
+    src = cfg.workdir / "abstracts" / f"filtered__{food_name}.jsonl"
+    area = cfg.workdir / "responses"
     out = area / f"{_stem(food_name, style)}.jsonl"
     templates_dir = str(cfg.templates_dir) if cfg.templates_dir else None
-    template_text = load_template(style, templates_dir)
-    signature = {
-        "filtered_sha256": file_sha256(src),
-        "style": style.value,
-        "template_sha256": _hash_text(template_text),
-        "backend": {
-            "kind": cfg.backend_kind,
-            "url": cfg.backend_url or "",
-            "model": cfg.backend_model,
-            "fixtures_dir": str(cfg.fixtures_dir or ""),
-        },
-        "decoding": {
-            "max_new_tokens": cfg.max_new_tokens,
-            "repetition_penalty": cfg.repetition_penalty,
-        },
-    }
+    inputs = [(src, "run filter first")]
+    if cfg.backend_kind == "mock":
+        inputs.append((cfg.fixtures_dir, "set backend.fixtures_dir"))
+
+    def signature() -> dict:
+        return {
+            "filtered_sha256": file_sha256(src),
+            "style": style.value,
+            "template_sha256": _hash_text(load_template(style, templates_dir)),
+            "backend": {
+                "kind": cfg.backend_kind,
+                "url": cfg.backend_url or "",
+                "model": cfg.backend_model,
+                "fixtures_dir": str(cfg.fixtures_dir or ""),
+            },
+            "decoding": {
+                "max_new_tokens": cfg.max_new_tokens,
+                "repetition_penalty": cfg.repetition_penalty,
+            },
+        }
 
     def work() -> dict:
         records = _read_records(src)
@@ -459,31 +476,32 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
         }
 
     manifest = area / f"extract__{_stem(food_name, style)}.manifest.json"
-    return _stage("extract", manifest, signature, [out], work)
+    return _stage("extract", manifest, inputs, signature, [out], work)
 
 
 def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
     """Parse responses, gate by food, link to identifiers, aggregate the table."""
     food = cfg.food(food_name)
     stem = _stem(food_name, style)
-    responses_path = _area(cfg, "responses") / f"{stem}.jsonl"
-    if not responses_path.exists():
-        raise PipelineError(f"no responses at {responses_path}; run extract first")
-    filtered_path = _area(cfg, "abstracts") / f"filtered__{food_name}.jsonl"
-    if not filtered_path.exists():
-        raise PipelineError(f"no filtered corpus at {filtered_path}; run filter first")
-    index_path = _area(cfg, "lexicon") / "index.jsonl"
-    if not index_path.exists():
-        raise PipelineError(f"no lexicon index at {index_path}; run build-lexicon first")
-    candidates_path = _area(cfg, "candidates") / f"{stem}.jsonl"
-    table_path = _area(cfg, "tables") / f"{stem}.json"
-    signature = {
-        "responses_sha256": file_sha256(responses_path),
-        # The header pins the body by its sha256; `load` checks the body.
-        "index_header_sha256": header_sha256(index_path),
-        "index_bytes": index_path.stat().st_size,
-        "keywords": sorted(food.keywords),
-    }
+    responses_path = cfg.workdir / "responses" / f"{stem}.jsonl"
+    filtered_path = cfg.workdir / "abstracts" / f"filtered__{food_name}.jsonl"
+    index_path = cfg.workdir / "lexicon" / "index.jsonl"
+    candidates_path = cfg.workdir / "candidates" / f"{stem}.jsonl"
+    table_path = cfg.workdir / "tables" / f"{stem}.json"
+    inputs = [
+        (responses_path, "run extract first"),
+        (filtered_path, "run filter first"),
+        (index_path, "run build-lexicon first"),
+    ]
+
+    def signature() -> dict:
+        return {
+            "responses_sha256": file_sha256(responses_path),
+            # The header pins the body by its sha256; `load` checks the body.
+            "index_header_sha256": header_sha256(index_path),
+            "index_bytes": index_path.stat().st_size,
+            "keywords": sorted(food.keywords),
+        }
 
     def work() -> dict:
         records = {r.record_key: r for r in _read_records(filtered_path)}
@@ -537,8 +555,8 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
             "table_rows": len(table.rows),
         }
 
-    manifest = _area(cfg, "candidates") / f"link__{stem}.manifest.json"
-    return _stage("link", manifest, signature, [candidates_path, table_path], work)
+    manifest = candidates_path.with_name(f"link__{stem}.manifest.json")
+    return _stage("link", manifest, inputs, signature, [candidates_path, table_path], work)
 
 
 def _link_all(gated_pairs, index: LexiconIndex):
@@ -553,18 +571,13 @@ def _link_all(gated_pairs, index: LexiconIndex):
     return mentions, resolved, unresolved
 
 
-def stage_report(cfg: PipelineConfig, food_name: str, style: PromptStyle | None = None) -> StageResult:
-    """Emit hazard tables as CSV and JSON reports, one report stage per table."""
-    tables_area = _area(cfg, "tables")
-    if style is not None:
-        table_paths = [tables_area / f"{_stem(food_name, style)}.json"]
-        if not table_paths[0].exists():
-            raise PipelineError(f"no linked table at {table_paths[0]}; run link first")
-    else:
-        table_paths = sorted(tables_area.glob(f"{food_name}__*.json"))
-        if not table_paths:
-            raise PipelineError(f"no linked tables for food {food_name!r}; run link first")
-    reports_area = _area(cfg, "reports")
+def stage_report(cfg: PipelineConfig, food_name: str) -> StageResult:
+    """Emit every linked table of the food as CSV and JSON reports, one
+    report stage per table; the tables that did not change are skipped."""
+    tables = cfg.workdir / "tables" / f"{food_name}__*.json"
+    _check([(tables, "run link first")])
+    table_paths = sorted(tables.parent.glob(tables.name))
+    reports_area = cfg.workdir / "reports"
     results = []
     for table_path in table_paths:
         stem = table_path.stem
@@ -578,17 +591,14 @@ def stage_report(cfg: PipelineConfig, food_name: str, style: PromptStyle | None 
             return {"rows": len(table.rows)}
 
         manifest = reports_area / f"report__{stem}.manifest.json"
+        outputs = [csv_path, json_path]
         signature = {"table_sha256": file_sha256(table_path)}
-        results.append(_stage("report", manifest, signature, [csv_path, json_path], work))
+        results.append(_stage("report", manifest, [], lambda: signature, outputs, work))
     emitted = [p.stem for p in table_paths]
     log.info("report[%s]: emitted %s", food_name, ", ".join(emitted))
     return StageResult(
         "report", skipped=all(r.skipped for r in results), counts={"reports": emitted}
     )
-
-
-def _tables_for_style(cfg: PipelineConfig, style: PromptStyle) -> list[HazardTable]:
-    return [_read_table(p) for p in sorted(_area(cfg, "tables").glob(f"*__{style.value}.json"))]
 
 
 def _food_order(cfg: PipelineConfig, reports: list[AccuracyReport]) -> list[str]:
@@ -598,37 +608,41 @@ def _food_order(cfg: PipelineConfig, reports: list[AccuracyReport]) -> list[str]
     return ordered
 
 
-def stage_evaluate(
-    cfg: PipelineConfig, gold_path: Path, style: PromptStyle
-) -> tuple[StageResult, list[list[str]]]:
-    """Score the style's tables against gold; returns the printable grid,
-    read back from the accuracy CSV whether the stage ran or was skipped.
+def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptStyle) -> StageResult:
+    """Score every style's tables against gold, each style once; the result
+    carries the printable grid of `style`, read back from its accuracy CSV
+    whether the stage ran or was skipped.
 
-    The comparison across styles is rewritten from every style's tables, so
-    all of them, the gold file and the food order make up the signature.
+    The comparison across styles is rewritten from the same reports, so every
+    table, the gold file and the food order make up the signature.
     """
-    gold_path = Path(gold_path)
-    if not gold_path.exists():
-        raise PipelineError(f"gold file not found: {gold_path}")
-    tables_area = _area(cfg, "tables")
+    tables_area = cfg.workdir / "tables"
     styles_present = [s for s in PromptStyle if any(tables_area.glob(f"*__{s.value}.json"))]
-    if style not in styles_present:
-        raise PipelineError(f"no linked tables for style {style.value!r}; run link first")
-    reports_area = _area(cfg, "reports")
+    reports_area = cfg.workdir / "reports"
     json_path = reports_area / f"accuracy__{style.value}.json"
     csv_path = reports_area / f"accuracy__{style.value}.csv"
     outputs = [json_path, csv_path]
     if len(styles_present) > 1:
         outputs += [reports_area / "comparison.csv", reports_area / "comparison.json"]
-    signature = {
-        "gold_sha256": file_sha256(gold_path),
-        "tables": {p.name: file_sha256(p) for p in sorted(tables_area.glob("*.json"))},
-        "foods": list(cfg.foods),
-    }
+    inputs = [
+        (gold_path, "pass --gold or set evaluation.gold"),
+        (tables_area / f"*__{style.value}.json", "run link first"),
+    ]
+
+    def signature() -> dict:
+        return {
+            "gold_sha256": file_sha256(gold_path),
+            "tables": {p.name: file_sha256(p) for p in sorted(tables_area.glob("*.json"))},
+            "foods": list(cfg.foods),
+        }
 
     def work() -> dict:
         gold = load_gold(gold_path)
-        report = score(_tables_for_style(cfg, style), gold, style.value)
+        reports = {}
+        for s in styles_present:
+            tables = [_read_table(p) for p in sorted(tables_area.glob(f"*__{s.value}.json"))]
+            reports[s.value] = score(tables, gold, s.value)
+        report = reports[style.value]
         for (food, _), ids in sorted(report.unjudged.items()):
             log.warning(
                 "evaluate[%s]: %d unjudged identifiers for %s: %s",
@@ -642,12 +656,9 @@ def stage_evaluate(
 
         # With tables for several styles on disk, also emit the side-by-side
         # comparison picking the best style.
-        if len(styles_present) > 1:
-            all_reports = {
-                s.value: score(_tables_for_style(cfg, s), gold, s.value) for s in styles_present
-            }
-            comparison = compare_prompts(all_reports)
-            ordered = [all_reports[s.value] for s in styles_present]
+        if len(reports) > 1:
+            comparison = compare_prompts(reports)
+            ordered = list(reports.values())
             write_grid_csv(grid_rows(ordered, _food_order(cfg, ordered)), reports_area / "comparison.csv")
             _write_json(
                 reports_area / "comparison.json",
@@ -665,25 +676,23 @@ def stage_evaluate(
         }
 
     manifest = reports_area / f"evaluate__{style.value}.manifest.json"
-    result = _stage("evaluate", manifest, signature, outputs, work)
+    result = _stage("evaluate", manifest, inputs, signature, outputs, work)
     with csv_path.open("r", encoding="utf-8", newline="") as fh:
-        return result, list(csv.reader(fh))
+        result.grid = list(csv.reader(fh))
+    return result
 
 
-def run_all(
-    cfg: PipelineConfig, food_name: str, style: PromptStyle
-) -> tuple[list[StageResult], list[list[str]] | None]:
-    """Run every stage for one food and style; evaluation only with gold configured."""
+def run_all(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> list[StageResult]:
+    """Run every stage for one food and style, reporting every linked table of
+    the food; evaluation only with gold configured."""
     results = [
         stage_fetch(cfg),
         stage_build_lexicon(cfg),
         stage_filter(cfg, food_name),
         stage_extract(cfg, food_name, style),
         stage_link(cfg, food_name, style),
-        stage_report(cfg, food_name, style),
+        stage_report(cfg, food_name),
     ]
-    grid = None
     if cfg.gold_path is not None:
-        result, grid = stage_evaluate(cfg, cfg.gold_path, style)
-        results.append(result)
-    return results, grid
+        results.append(stage_evaluate(cfg, cfg.gold_path, style))
+    return results

@@ -8,6 +8,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -384,21 +385,66 @@ class TestStageCommands:
         kept = read_jsonl(root / "work" / "abstracts" / "filtered__maize.jsonl")
         assert [r["doi"] for r in kept] == ["10.2/c0", "10.2/c2"]
 
-    def test_build_lexicon_requires_a_dump(self, tmp_path):
-        root = corn_workspace(tmp_path)
-        result = invoke("--config", root / "config.yaml", "build-lexicon")
-        assert result.exit_code == 2
-        assert "chebi_dump" in result.output
+    @pytest.mark.parametrize(
+        "setup, delete, config_edit, command, missing, remedy",
+        [
+            pytest.param([], ["work/abstracts/abstracts.jsonl"], None, ["filter", "--food", "dairy"],
+                         "work/abstracts/abstracts.jsonl", "run fetch first", id="filter"),
+            pytest.param([], [], None, ["extract", "--food", "dairy"],
+                         "work/abstracts/filtered__dairy.jsonl", "run filter first", id="extract"),
+            pytest.param([["filter", "--food", "dairy"]], ["fixtures"], None,
+                         ["extract", "--food", "dairy"], "fixtures", "set backend.fixtures_dir",
+                         id="extract-no-fixtures"),
+            pytest.param([], [], None, ["link", "--food", "dairy"],
+                         "work/responses/dairy__step_by_step.jsonl", "run extract first",
+                         id="link-no-responses"),
+            pytest.param([["filter", "--food", "dairy"], ["extract", "--food", "dairy"]],
+                         ["work/abstracts/filtered__dairy.jsonl"], None, ["link", "--food", "dairy"],
+                         "work/abstracts/filtered__dairy.jsonl", "run filter first",
+                         id="link-no-filtered"),
+            pytest.param([["filter", "--food", "dairy"], ["extract", "--food", "dairy"]], [], None,
+                         ["link", "--food", "dairy"], "work/lexicon/index.jsonl",
+                         "run build-lexicon first", id="link-no-index"),
+            pytest.param([], [], None, ["report", "--food", "dairy"],
+                         "work/tables/dairy__*.json", "run link first", id="report"),
+            pytest.param([], [], ("evaluation:\n  gold: gold.csv\n", ""), ["evaluate"],
+                         None, "pass --gold or set evaluation.gold", id="evaluate-no-gold"),
+            pytest.param([], ["gold.csv"], None, ["evaluate"],
+                         "gold.csv", "pass --gold or set evaluation.gold", id="evaluate-gold-gone"),
+            pytest.param([], [], None, ["evaluate"],
+                         "work/tables/*__step_by_step.json", "run link first",
+                         id="evaluate-no-tables"),
+            pytest.param([], [], ("chebi_dump: chebi_names.tsv", "chebi_dump: null"),
+                         ["build-lexicon"], None, "set lexicon.chebi_dump", id="lexicon-no-dump"),
+            pytest.param([], ["chebi_names.tsv"], None, ["build-lexicon"],
+                         "chebi_names.tsv", "set lexicon.chebi_dump", id="lexicon-dump-gone"),
+            pytest.param([], [], ("chebi_names.tsv\n", "chebi_names.tsv\n  stoplist: stop.txt\n"),
+                         ["build-lexicon"], "stop.txt", "set lexicon.stoplist",
+                         id="lexicon-stoplist-gone"),
+        ],
+    )
+    def test_missing_input_is_refused_with_its_remedy(
+        self, workspace, setup, delete, config_edit, command, missing, remedy
+    ):
+        """A stage whose input is missing exits 2 with one error line naming
+        the input and what makes it, and leaves every file as it was."""
+        root, config = workspace["root"], workspace["config"]
+        if config_edit:
+            config.write_text(config.read_text("utf-8").replace(*config_edit), encoding="utf-8")
+        for args in setup:
+            assert invoke("--config", config, *args).exit_code == 0, args
+        for name in delete:
+            shutil.rmtree(root / name) if (root / name).is_dir() else (root / name).unlink()
 
-    def test_link_requires_extract_first(self, workspace):
-        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
-        assert result.exit_code == 2
-        assert "extract" in result.output
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
-    def test_extract_requires_filter_first(self, workspace):
-        result = invoke("--config", workspace["config"], "extract", "--food", "dairy")
+        before = tree()
+        result = invoke("--config", config, *command)
         assert result.exit_code == 2
-        assert "filter" in result.output
+        where = f"{root / missing} not found" if missing else "no path configured"
+        assert result.stderr == f"error: {where}; {remedy}\n"
+        assert tree() == before
 
     def test_unknown_food_is_a_usage_error(self, workspace):
         result = invoke("--config", workspace["config"], "filter", "--food", "durian")
@@ -883,19 +929,38 @@ def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stu
     assert path.read_bytes() == previous
 
 
-def test_benchmark_spans_find_every_traced_name(monkeypatch):
-    """perfbench wraps these names by attribute: a refactor that drops one
-    fails here rather than in the next traced benchmark run."""
+def test_benchmark_spans_find_every_traced_name():
+    """perfbench hooks these names by attribute and calls the stages as
+    `in_process_pass` does: a refactor that breaks one fails here rather than
+    in the next traced benchmark run. The benchmark's files are read, not
+    imported, so nothing is written under perfbench/."""
+    import ast
+    import importlib
+    import inspect
+
     import hazardex.cli
+    from hazardex import pipeline
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import spans
-
-    tracer = spans.Tracer()
-    tracer.install()
-    tracer.uninstall()
-    for stage in spans.STAGES:
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spans = {"__name__": "spans"}
+    exec(compile((perfbench / "spans.py").read_text("utf-8"), "spans.py", "exec"), spans)
+    for module, attr, *_ in spans["_FUNCTIONS"]:
+        assert attr in vars(importlib.import_module(module)), (module, attr)
+    for module, cls, attr, *_ in spans["_METHODS"]:
+        assert attr in vars(getattr(importlib.import_module(module), cls)), (cls, attr)
+    for stage in spans["STAGES"]:
         assert callable(getattr(hazardex.cli, f"stage_{stage}")), stage
+
+    run = ast.parse((perfbench / "run.py").read_text("utf-8"))
+    (in_process_pass,) = [n for n in run.body if getattr(n, "name", "") == "in_process_pass"]
+    calls = [
+        node for node in ast.walk(in_process_pass)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "").startswith("stage_")
+    ]
+    assert sorted(c.func.attr for c in calls) == sorted(f"stage_{s}" for s in spans["STAGES"])
+    for call in calls:
+        stage = getattr(pipeline, call.func.attr)
+        inspect.signature(stage).bind(*call.args, **{k.arg: None for k in call.keywords})
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
@@ -1026,6 +1091,38 @@ class TestEvaluateCommand:
         assert "up to date" not in result.output
         assert (ws["workdir"] / "reports" / "comparison.json").exists()
         assert "up to date" in invoke("--config", ws["config"], "evaluate").output
+
+    def test_a_second_style_reads_each_table_once(self, workspace, monkeypatch):
+        """With tables of two styles, `evaluate` scores each style once and
+        builds the comparison from the same reports."""
+        from hazardex import pipeline
+
+        write_mock_fixtures(workspace["root"] / "fixtures", PromptStyle.SIMPLE)
+        first = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert first.exit_code == 0, first.output
+        read_table, stage_evaluate = pipeline._read_table, pipeline.stage_evaluate
+        evaluating, reads = [], []
+
+        def spy_read(path):
+            if evaluating:
+                reads.append(path.name)
+            return read_table(path)
+
+        def spy_evaluate(*args):
+            evaluating.append(True)
+            try:
+                return stage_evaluate(*args)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(pipeline, "_read_table", spy_read)
+        monkeypatch.setattr(pipeline, "stage_evaluate", spy_evaluate)
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy",
+                        "--style", "simple")
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == ["dairy__simple.json", "dairy__step_by_step.json"]
+        comparison = json.loads((workspace["workdir"] / "reports" / "comparison.json").read_text())
+        assert sorted(comparison["styles"]) == ["simple", "step_by_step"]
 
     def test_without_gold_anywhere_is_an_error(self, tmp_path):
         ws = make_workspace(tmp_path / "nogold", with_gold=False)

@@ -24,10 +24,20 @@ name that can spell it. Every ending a plural adds or replaces is made of
 "s", "e", "i" and "y", so the keys of two names that share a surface agree
 once a final run of those letters is stripped. That stripped key is the
 name's spelling group, and no surface is claimed across two groups. The
-build claims the dump one group at a time, in dump order within a group,
-and never holds a map of every surface; a group of one name needs no map at
-all. A surface goes to its smallest `(rank, numeric id)` claimant, which
-does not depend on the order of the names; the collision count does.
+build never holds a map of every surface. It counts each name's own
+surfaces as it reads the dump; a name alone in its group, as nearly every
+name is, keeps that count, and the names of a larger group are claimed
+together, in dump order. A surface goes to its smallest `(rank, numeric
+id)` claimant, which does not depend on the order of the names; the
+collision count does.
+
+Names with a digit run make most of the surfaces. Each time 8,192 of them
+have piled up, that batch is counted in a `fork` worker pool of one fewer
+process than the usable CPUs, made when the first batch fills, while the
+parent reads on; the parent counts the names without one, the last partial
+batch, and every batch when it has no spare CPU. A small dump never fills a
+batch and builds in one process. A count does not depend on the process
+that makes it, so the saved index does not depend on the CPU count.
 
 `LexiconIndex.load(path, wanted=...)` binary-searches the sorted records for
 the candidate keys of the wanted surfaces and claims only the names it
@@ -50,8 +60,10 @@ import io
 import itertools
 import json
 import logging
+import os
 import re
 import unicodedata
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -107,6 +119,9 @@ def chebi_numeric(chebi_id: str) -> int:
 
 def normalize(surface: str) -> str:
     """Casefold, apply NFKC, collapse whitespace; hyphens survive untouched."""
+    if surface.isascii():
+        # NFKC keeps ASCII, casefold is lower, and `\s` is `str.isspace` there.
+        return " ".join(surface.lower().split())
     text = unicodedata.normalize("NFKC", surface).casefold()
     return _WS_RE.sub(" ", text).strip()
 
@@ -384,7 +399,12 @@ class LexiconIndex:
                 return cls(id_to_name, stats, source_checksum, stoplist=stoplist,
                            claims=claims, wanted=wanted)
             records = blob[body_start : ids_start - 1].decode("utf-8").split("\n")[:-1]
-            surface_count, _, owners = _claim_groups(records, stoplist)
+            with _SurfaceCounts(stoplist) as counter:
+                for record in records:
+                    _, digits, normalized, _, _ = record.split("\t")
+                    counter.add(normalized, digits != "")
+                counts = counter.counts()
+            surface_count, _, owners = _tally(records, counts, stoplist)
             id_to_name = {}
             for line in blob[ids_start:].decode("utf-8").split("\n")[:-1]:
                 chebi_id, name = line.split("\t")
@@ -424,11 +444,6 @@ def _candidate_keys(surface: str) -> set[str]:
             stems.add(letters[:-3] + "y")
     digits = ",".join(_DIGITS_RE.findall(surface))
     return {f"{stem}\t{digits}" for stem in stems}
-
-
-def _record(normalized: str, numeric: int, rank: int) -> str:
-    # A normalized name holds no tab or newline: `normalize` folds all whitespace.
-    return f"{_spelling_key(normalized)}\t{normalized}\t{numeric}\t{rank}"
 
 
 def _parse_record(record: str) -> tuple[str, int, int]:
@@ -516,6 +531,13 @@ def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
     return header, blob, body_start, ids_start
 
 
+def _own_surfaces(normalized: str, stoplist: frozenset[str]) -> set[str]:
+    """The surfaces a name can claim: its own, less the stoplist and ""."""
+    surfaces = _surfaces(normalized) - stoplist
+    surfaces.discard("")
+    return surfaces
+
+
 def _claim(
     records: Iterable[tuple[str, int, int]], stoplist: frozenset[str]
 ) -> tuple[dict[str, tuple[int, int, str]], int]:
@@ -529,8 +551,7 @@ def _claim(
     for normalized, numeric, rank in records:
         chebi_id = ids.get(numeric) or ids.setdefault(numeric, f"CHEBI:{numeric}")
         claim = (rank, numeric, chebi_id)
-        surfaces = _surfaces(normalized) - stoplist
-        surfaces.discard("")
+        surfaces = _own_surfaces(normalized, stoplist)
         contested = claims.keys() & surfaces
         for surface in contested:
             current = claims[surface]
@@ -552,26 +573,121 @@ def _group(record: str) -> str:
     return f"{letters.rstrip('seiy')}\t{digits}"
 
 
-def _claim_groups(records: list[str], stoplist: frozenset[str]) -> tuple[int, int, set[int]]:
-    """Claim the surfaces of the `records` one spelling group at a time, each
-    group in the order of `records`: the surface count, the collisions and
-    the numeric ids that own a surface."""
+def _count_batch(names: list[str], stoplist: frozenset[str]) -> array:
+    return array("I", [len(_own_surfaces(name, stoplist)) for name in names])
+
+
+def _spare_cpus() -> int:
+    """The worker processes surface counting may use: one fewer than the
+    usable CPUs, and none where processes cannot be forked or the usable
+    CPUs cannot be read."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+# Names with a digit run are counted this many at a time.
+_BATCH = 8192
+
+
+class _SurfaceCounts:
+    """The number of surfaces each added name has on its own, in the order
+    the names were added.
+
+    A name without a digit run has at most two surfaces, itself and its
+    plural, and is counted at once. The names with one, which make most of
+    the surfaces, are counted in batches of `_BATCH`: a full batch goes to a
+    `fork` pool of `_spare_cpus()` workers, made when the first batch fills;
+    the last, partial batch, and every batch when there is no spare CPU, is
+    counted here. A count does not depend on the process that made it. Leaving
+    the `with` block ends the workers; an error in one is raised by `counts`.
+    """
+
+    def __init__(self, stoplist: frozenset[str]):
+        self._stoplist = stoplist
+        self._counts = array("I")
+        self._batch: list[str] = []
+        self._slots = array("I")  # where the batch's counts go in `_counts`
+        self._sent: list[tuple[array, multiprocessing.pool.AsyncResult]] = []
+        self._workers = _spare_cpus()
+        self._pool = None
+
+    def __enter__(self) -> "_SurfaceCounts":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if self._pool is not None:
+            self._pool.close() if exc_type is None else self._pool.terminate()
+            self._pool.join()
+
+    def add(self, normalized: str, has_digits: bool) -> None:
+        if not has_digits:
+            plural = _plural(normalized)
+            self._counts.append(
+                (normalized not in self._stoplist and normalized != "")
+                + (plural is not None and plural not in self._stoplist)
+            )
+            return
+        self._slots.append(len(self._counts))
+        self._counts.append(0)
+        self._batch.append(normalized)
+        if len(self._batch) < _BATCH:
+            return
+        if not self._workers:
+            self._count_here()
+            return
+        if self._pool is None:
+            # Imported here, as every command imports this module and few need
+            # a pool. A forked worker starts at once with the module as it is,
+            # and runs only `_count_batch`, which takes no lock a thread holds.
+            import multiprocessing
+
+            self._pool = multiprocessing.get_context("fork").Pool(self._workers)
+        task = self._pool.apply_async(_count_batch, (self._batch, self._stoplist))
+        self._sent.append((self._slots, task))
+        self._batch, self._slots = [], array("I")
+
+    def counts(self) -> array:
+        self._count_here()
+        for slots, task in self._sent:
+            self._fill(slots, task.get())
+        return self._counts
+
+    def _count_here(self) -> None:
+        self._fill(self._slots, _count_batch(self._batch, self._stoplist))
+        self._batch, self._slots = [], array("I")
+
+    def _fill(self, slots: array, counts: array) -> None:
+        for slot, count in zip(slots, counts):
+            self._counts[slot] = count
+
+
+def _tally(records: list[str], counts: array, stoplist: frozenset[str]) -> tuple[int, int, set[int]]:
+    """The surface count, the collisions and the numeric ids that own a
+    surface, for `records` whose names have `counts` surfaces on their own.
+
+    A name alone in its spelling group keeps its surfaces; a larger group is
+    claimed with `_claim`, in the order of `records`. The groups are found by
+    sorting the positions on a 30-bit hash of their group, packed above the
+    position in one small int. Groups whose hashes agree are claimed
+    together, which gives what claiming each apart gives: no surface is
+    shared across groups.
+    """
+    shift = len(records).bit_length()
+    position = (1 << shift) - 1
+    keys = sorted((hash(_group(r)) & 0x3FFFFFFF) << shift | i for i, r in enumerate(records))
     surface_count = collisions = 0
     owners: set[int] = set()
-    for _, group in itertools.groupby(sorted(records, key=_group), key=_group):
-        group = list(map(_parse_record, group))
-        if len(group) == 1:
-            normalized, numeric, _ = group[0]
-            surfaces = _surfaces(normalized) - stoplist
-            surfaces.discard("")
-            if surfaces:
-                surface_count += len(surfaces)
-                owners.add(numeric)
-            continue
-        claims, clashes = _claim(group, stoplist)
-        surface_count += len(claims)
-        collisions += clashes
-        owners.update(claim[1] for claim in claims.values())
+    for _, run in itertools.groupby(keys, key=lambda key: key >> shift):
+        group = [key & position for key in run]
+        if len(group) > 1:
+            claims, clashes = _claim((_parse_record(records[i]) for i in group), stoplist)
+            surface_count += len(claims)
+            collisions += clashes
+            owners.update(claim[1] for claim in claims.values())
+        elif counts[group[0]]:
+            surface_count += counts[group[0]]
+            owners.add(int(records[group[0]].rsplit("\t", 2)[1]))
     return surface_count, collisions, owners
 
 
@@ -584,30 +700,47 @@ def build_index(
 ) -> LexiconIndex:
     """Build the surface index from parsed dump rows.
 
-    Pipeline per row: stoplist filter, normalize, record. Then each spelling
-    group's names are expanded (numeric variants, plurals) and claimed on
-    their own, in dump order. When two chemicals claim one surface, the claim
-    backed by a primary NAME row beats synonym claims, then the numerically
-    smaller identifier wins; every collision is counted. Identifiers come
-    out as `CHEBI:<int>`.
+    Each row, in dump order: stoplist filter, normalize, record, and count
+    the name's own surfaces (numeric variants, plurals). The names with a
+    digit run are counted in worker processes while the rows are still being
+    read, when the dump fills a batch and the machine has a spare CPU
+    (`_SurfaceCounts`); the index is the same whichever process counts. A
+    name alone in its spelling group keeps its count; the names of a larger
+    group are claimed together, in dump order. When two chemicals claim one
+    surface, the claim backed by a primary NAME row beats synonym claims,
+    then the numerically smaller identifier wins; every collision is counted.
+    Identifiers come out as `CHEBI:<int>`.
     """
     records: list[str] = []
-    preferred: dict[int, tuple[int, str]] = {}
-    for chebi_id, name, name_type in rows:
-        normalized = normalize(name)
-        if normalized in stoplist:
-            continue
-        rank = 0 if name_type == "NAME" else 1
-        numeric = chebi_numeric(chebi_id)
-        if rank < preferred.get(numeric, (2,))[0]:
-            preferred[numeric] = (rank, name)
-        records.append(_record(normalized, numeric, rank))
+    # An id's preferred name is its first NAME row's, else its first synonym's.
+    names: dict[int, str] = {}
+    synonyms: dict[int, str] = {}
+    last_id = None
+    with _SurfaceCounts(stoplist) as counter:
+        for chebi_id, name, name_type in rows:
+            normalized = normalize(name)
+            if normalized in stoplist:
+                continue
+            rank = 0 if name_type == "NAME" else 1
+            if chebi_id != last_id:  # a dump lists an id's names together
+                numeric, last_id = chebi_numeric(chebi_id), chebi_id
+            if rank == 0:
+                names.setdefault(numeric, name)
+            elif numeric not in names:
+                synonyms.setdefault(numeric, name)
+            key = _spelling_key(normalized)
+            # `normalize` folds all whitespace, so a name holds no tab or newline.
+            records.append(f"{key}\t{normalized}\t{numeric}\t{rank}")
+            counter.add(normalized, not key.endswith("\t"))
+        counts = counter.counts()
     # In dump order within each group: the collision count depends on it.
-    surface_count, collisions, owners = _claim_groups(records, stoplist)
+    surface_count, collisions, owners = _tally(records, counts, stoplist)
     if not surface_count:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
     records.sort()
-    id_to_name = {f"CHEBI:{numeric}": preferred[numeric][1] for numeric in owners}
+    for numeric, name in synonyms.items():
+        names.setdefault(numeric, name)
+    id_to_name = {f"CHEBI:{numeric}": names[numeric] for numeric in owners}
     stats = IndexStats(
         entry_count=len(id_to_name),
         surface_count=surface_count,

@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -143,6 +144,14 @@ def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
     return counts
 
 
+def _peak_rss_mb() -> float:
+    """The high-water mark so far of this process's resident memory, or of
+    a child it waited for (build-lexicon's workers), in MB. Under `run-all`
+    it may be an earlier stage's."""
+    kib = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(kib * 1024 / 1e6, 1)  # Linux counts `ru_maxrss` in KiB
+
+
 def _check(inputs) -> None:
     """Refuse a stage whose input is missing. Each input is (path, remedy): a
     `*` in the name needs one match, and None is a path the config lacks."""
@@ -180,6 +189,7 @@ def _stage(name: str, manifest: Path, inputs, signature, outputs: list[Path], wo
             "started_at": started,
             "finished_at": _now(),
             "duration_s": round(time.perf_counter() - clock, 3),
+            "peak_rss_mb": _peak_rss_mb(),
             "counts": _canon(counts),
         },
     )
@@ -418,8 +428,6 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
 def _make_backend(cfg: PipelineConfig):
     if cfg.backend_kind == "mock":
         return MockBackend(cfg.fixtures_dir)
-    if not cfg.backend_url:
-        raise PipelineError("backend.url is required for the http backend")
     return HttpBackend(cfg.backend_url, cfg.backend_model, use_messages=cfg.use_messages)
 
 
@@ -432,6 +440,9 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
     inputs = [(src, "run filter first")]
     if cfg.backend_kind == "mock":
         inputs.append((cfg.fixtures_dir, "set backend.fixtures_dir"))
+    elif not cfg.backend_url:
+        # A URL is no path for `_check`; refused here, before `_stage` makes directories.
+        raise PipelineError("no url configured; set backend.url")
 
     def signature() -> dict:
         return {

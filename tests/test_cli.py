@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import logging
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -408,26 +409,32 @@ class TestStageCommands:
             pytest.param([], [], None, ["report", "--food", "dairy"],
                          "work/tables/dairy__*.json", "run link first", id="report"),
             pytest.param([], [], ("evaluation:\n  gold: gold.csv\n", ""), ["evaluate"],
-                         None, "pass --gold or set evaluation.gold", id="evaluate-no-gold"),
+                         "path", "pass --gold or set evaluation.gold", id="evaluate-no-gold"),
             pytest.param([], ["gold.csv"], None, ["evaluate"],
                          "gold.csv", "pass --gold or set evaluation.gold", id="evaluate-gold-gone"),
             pytest.param([], [], None, ["evaluate"],
                          "work/tables/*__step_by_step.json", "run link first",
                          id="evaluate-no-tables"),
             pytest.param([], [], ("chebi_dump: chebi_names.tsv", "chebi_dump: null"),
-                         ["build-lexicon"], None, "set lexicon.chebi_dump", id="lexicon-no-dump"),
+                         ["build-lexicon"], "path", "set lexicon.chebi_dump", id="lexicon-no-dump"),
             pytest.param([], ["chebi_names.tsv"], None, ["build-lexicon"],
                          "chebi_names.tsv", "set lexicon.chebi_dump", id="lexicon-dump-gone"),
             pytest.param([], [], ("chebi_names.tsv\n", "chebi_names.tsv\n  stoplist: stop.txt\n"),
                          ["build-lexicon"], "stop.txt", "set lexicon.stoplist",
                          id="lexicon-stoplist-gone"),
+            pytest.param([["filter", "--food", "dairy"]], [],
+                         ("kind: mock\n  fixtures_dir: fixtures\n", "kind: http\n"),
+                         ["extract", "--food", "dairy"], "url", "set backend.url",
+                         id="extract-http-no-url"),
         ],
     )
     def test_missing_input_is_refused_with_its_remedy(
         self, workspace, setup, delete, config_edit, command, missing, remedy
     ):
         """A stage whose input is missing exits 2 with one error line naming
-        the input and what makes it, and leaves every file as it was."""
+        the input and what makes it, and leaves every file as it was.
+        `missing` is a path under the workspace, or the kind of a setting
+        the config leaves unset."""
         root, config = workspace["root"], workspace["config"]
         if config_edit:
             config.write_text(config.read_text("utf-8").replace(*config_edit), encoding="utf-8")
@@ -442,9 +449,39 @@ class TestStageCommands:
         before = tree()
         result = invoke("--config", config, *command)
         assert result.exit_code == 2
-        where = f"{root / missing} not found" if missing else "no path configured"
+        if missing in ("path", "url"):
+            where = f"no {missing} configured"
+        else:
+            where = f"{root / missing} not found"
         assert result.stderr == f"error: {where}; {remedy}\n"
         assert tree() == before
+
+    def test_an_error_in_a_counting_worker_is_one_error_line(self, workspace, monkeypatch):
+        """build-lexicon counts surfaces in worker processes when the dump
+        fills a batch: an exception in a worker reaches the CLI as one
+        `error:` line, and no worker outlives a build, failed or not."""
+        from hazardex import lexicon
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(lexicon, "_BATCH", 1)
+        parent, real = os.getpid(), lexicon._own_surfaces
+
+        def own_surfaces(normalized, stoplist):
+            if os.getpid() != parent:
+                raise ValueError("worker failed")
+            return real(normalized, stoplist)
+
+        monkeypatch.setattr(lexicon, "_own_surfaces", own_surfaces)
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert result.exit_code == 2
+        assert result.stderr == "error: ValueError: worker failed\n"
+        assert multiprocessing.active_children() == []
+        assert not (workspace["workdir"] / "lexicon" / "index.jsonl").exists()
+
+        monkeypatch.setattr(lexicon, "_own_surfaces", real)
+        result = invoke("--config", workspace["config"], "build-lexicon")
+        assert result.exit_code == 0, result.output
+        assert multiprocessing.active_children() == []
 
     def test_unknown_food_is_a_usage_error(self, workspace):
         result = invoke("--config", workspace["config"], "filter", "--food", "durian")
@@ -785,6 +822,16 @@ class TestRunAll:
         for path in manifests:
             manifest = json.loads(path.read_text("utf-8"))
             assert {"started_at", "finished_at", "duration_s"} <= set(manifest), path.name
+
+    def test_every_manifest_records_the_peak_memory_so_far(self, workspace):
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        manifests = sorted(workspace["workdir"].rglob("*.manifest.json"))
+        assert len(manifests) == 7
+        for path in manifests:
+            peak = json.loads(path.read_text("utf-8"))["peak_rss_mb"]
+            # This test process's high-water mark: at least the interpreter.
+            assert isinstance(peak, float) and 5 < peak < 100_000, (path.name, peak)
 
     def test_workdir_flag_overrides_the_config(self, workspace, tmp_path):
         override = tmp_path / "override"

@@ -7,6 +7,8 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
 import random
 import tracemalloc
@@ -26,6 +28,7 @@ from oracles import (
     random_digit_name,
     random_surface_name,
 )
+from hazardex import lexicon
 from hazardex.lexicon import (
     INDEX_VERSION,
     IndexFormatError,
@@ -810,6 +813,75 @@ class TestGroupedClaim:
         built = peak(lambda: build_index(rows, stoplist))
         global_claim = peak(lambda: oracle_claim(records, stoplist))
         assert built < global_claim / 2, (built, global_claim)
+
+
+class TestWorkerCounts:
+    """Counting surfaces in worker processes changes nothing but the time."""
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def spy_pools(monkeypatch):
+        made = []
+
+        class Spy(multiprocessing.pool.Pool):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        # `multiprocessing` contexts look the class up here on every call.
+        monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
+        return made
+
+    def test_workers_and_inline_counting_build_the_same_index(self, monkeypatch, tmp_path):
+        rows = _seeded_dump_rows()
+        normalized = [normalize(name) for _, name, _ in rows]
+        with_digits = [n for n in normalized if not _spelling_key(n).endswith("\t")]
+        # Stoplist a spelling of some names with a digit run, besides the defaults.
+        extra = {min(_surfaces(n) - {n}) for n in with_digits if len(_surfaces(n)) > 1}
+        extra = set(sorted(extra)[:40])
+        stoplist = default_stoplist() | extra
+        monkeypatch.setattr(lexicon, "_BATCH", 32)
+        assert len(with_digits) > 5 * 32
+        built = {}
+        for cpus in (1, 2):
+            self.use_cpus(monkeypatch, cpus)
+            pools = self.spy_pools(monkeypatch)
+            index = build_index(rows, stoplist)
+            path = tmp_path / f"{cpus}.jsonl"
+            index.save(path)
+            loaded = LexiconIndex.load(path)
+            assert loaded.stats == index.stats
+            # One pool for the build and one for the full load, with a spare CPU.
+            assert len(pools) == 2 * (cpus - 1), cpus
+            assert multiprocessing.active_children() == []
+            built[cpus] = (index.stats, path.read_bytes())
+        assert built[1] == built[2]
+        stats = built[1][0]
+        assert stats.collisions > 100
+        assert stats.surface_count < build_index(rows, default_stoplist()).stats.surface_count
+
+    def test_a_dump_that_fills_no_batch_starts_no_pool(self, monkeypatch):
+        self.use_cpus(monkeypatch, 2)
+        pools = self.spy_pools(monkeypatch)
+        rows = _seeded_dump_rows()
+        index = build_index(rows, default_stoplist())
+        assert index.stats.surface_count > 0
+        assert pools == []
+
+    def test_groups_that_share_a_hash_build_the_same_index(self, monkeypatch, tmp_path):
+        """Spelling groups are found by a hash of the group; groups whose
+        hashes agree are claimed together, here every group at once."""
+        rows = _seeded_dump_rows()
+        blobs = []
+        for _ in range(2):
+            path = tmp_path / f"{len(blobs)}.jsonl"
+            build_index(rows, default_stoplist()).save(path)
+            blobs.append(path.read_bytes())
+            monkeypatch.setattr(lexicon, "hash", lambda text: 7, raising=False)
+        assert blobs[0] == blobs[1]
 
 
 # --------------------------------------------------------------------------

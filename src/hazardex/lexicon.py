@@ -39,16 +39,13 @@ batch, and every batch when it has no spare CPU. A small dump never fills a
 batch and builds in one process. A count does not depend on the process
 that makes it, so the saved index does not depend on the CPU count.
 
-`LexiconIndex.load(path, wanted=...)` binary-searches the sorted records for
-the candidate keys of the wanted surfaces and claims only the names it
-finds. Such an index knows only the wanted surfaces and their owners and
-cannot be saved; when a lookup's raw string misses, the raw and normalized
-forms that lie outside `wanted` go to `unplanned`, for the caller to load
-again. The full load counts every group as the build does and checks the
-counts and owners against the header. A built or fully loaded index makes
-its surface map from its records on its first `lookup`. Both loads check the
-body against its checksum first, so a torn, cut or edited file is an
-`IndexFormatError` either way.
+`LexiconIndex.load` checks the body against the checksum in its header, so
+a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
+The first `lookup` of a surface binary-searches the sorted records for its
+candidate keys, claims the names it finds and keeps only that surface's
+owner; a preferred name is binary-searched among the identifier lines on
+first use. A built index makes its surface map from its records on its
+first `lookup`.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ import re
 import unicodedata
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -279,25 +275,18 @@ class IndexStats:
     collisions: int
     skipped_rows: int
 
-    def as_dict(self) -> dict:
-        return {
-            "entry_count": self.entry_count,
-            "surface_count": self.surface_count,
-            "collisions": self.collisions,
-            "skipped_rows": self.skipped_rows,
-        }
-
 
 class LexiconIndex:
     """Immutable surface → identifier map with per-identifier display names.
 
-    `records` are the sorted name records the surfaces come from, and
-    `stoplist` is the one they are expanded under; `save` writes both. A
-    built or fully loaded index claims every record's surfaces into its map
-    on its first `lookup`, not before. `wanted` is set on an index loaded
-    with it: it holds only those surfaces and the identifiers that own them,
-    so a miss on a form outside them is not an answer, and the form lands in
-    `unplanned` for the caller to load again.
+    A built index holds the sorted name `records` and the `stoplist` they
+    are expanded under; `save` writes both, and its first `lookup` claims
+    every record's surfaces into one map. A loaded index holds the saved
+    bytes instead and cannot be saved: a lookup searches them for the names
+    that can spell the surface asked, and keeps that surface's owner and
+    nothing else, since the other surfaces of those names may have
+    claimants it did not find. A preferred name is searched for the same
+    way, on first use.
     """
 
     def __init__(
@@ -307,19 +296,16 @@ class LexiconIndex:
         source_checksum: str = "",
         records: list[str] | None = None,
         stoplist: frozenset[str] = frozenset(),
-        *,
-        claims: dict[str, tuple[int, int, str]] | None = None,
-        wanted: frozenset[str] | None = None,
+        saved: tuple[bytes, int, int] | None = None,
     ):
-        if claims is not None:
-            self._claims = claims
         self._id_to_name = id_to_name
         self.stats = stats
         self.source_checksum = source_checksum
         self._records = records
         self._stoplist = stoplist
-        self.wanted = wanted
-        self.unplanned: set[str] = set()
+        self._saved = saved  # the bytes, and where the records and the id lines start
+        if saved is not None:
+            self._claims: dict[str, tuple[int, int, str] | None] = {}
 
     @functools.cached_property
     def _claims(self) -> dict[str, tuple[int, int, str]]:
@@ -328,17 +314,25 @@ class LexiconIndex:
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
         # the fallback pays the normalization cost only when needed.
-        claim = self._claims.get(surface)
-        if claim is not None:
-            return claim[2]
-        key = normalize(surface)
-        if self.wanted is not None:
-            self.unplanned.update(s for s in (surface, key) if s not in self.wanted)
-        claim = self._claims.get(key)
+        claim = self._claim_of(surface) or self._claim_of(normalize(surface))
         return None if claim is None else claim[2]
 
+    def _claim_of(self, surface: str) -> tuple[int, int, str] | None:
+        if self._saved is None or surface in self._claims:
+            return self._claims.get(surface)
+        blob, body_start, ids_start = self._saved
+        found = _spelling_records(blob, body_start, ids_start - 1, surface)
+        claim = self._claims[surface] = _claim(found, self._stoplist)[0].get(surface)
+        return claim
+
     def preferred_name(self, chebi_id: str) -> str:
-        return self._id_to_name.get(chebi_id, chebi_id)
+        name = self._id_to_name.get(chebi_id)
+        if name is None and self._saved is not None:
+            blob, _, ids_start = self._saved
+            name = _preferred(blob, ids_start, chebi_id)
+            if name is not None:
+                self._id_to_name[chebi_id] = name
+        return chebi_id if name is None else name
 
     def save(self, path: str | Path) -> None:
         """Write the artifact; a crash leaves the previous file (`atomic_open`)."""
@@ -364,7 +358,7 @@ class LexiconIndex:
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "source_sha256": self.source_checksum,
-            **self.stats.as_dict(),
+            **vars(self.stats),
             "stoplist": sorted(self._stoplist),
             "body_sha256": digest.hexdigest(),
         }
@@ -374,51 +368,19 @@ class LexiconIndex:
             fh.writelines(body())
 
     @classmethod
-    def load(cls, path: str | Path, wanted: Iterable[str] | None = None) -> "LexiconIndex":
-        """Read a saved index; with `wanted`, only the names that can spell those surfaces."""
-        path = Path(path)
-        header, blob, body_start, ids_start = _read_artifact(path)
-        stoplist = frozenset(header.get("stoplist", ()))
+    def load(cls, path: str | Path) -> "LexiconIndex":
+        """Read a saved index whose body matches its checksum; its surfaces
+        and names are found when they are asked for."""
+        header, blob, body_start, ids_start = _read_artifact(Path(path))
         stats = IndexStats(
             entry_count=header.get("entry_count"),
             surface_count=header.get("surface_count"),
             collisions=header.get("collisions", 0),
             skipped_rows=header.get("skipped_rows", 0),
         )
-        source_checksum = header.get("source_sha256", "")
-        try:
-            if wanted is not None:
-                wanted = frozenset(wanted)
-                found = _spelling_records(blob, body_start, ids_start - 1, wanted)
-                claims, _ = _claim(found, stoplist)
-                claims = {s: claims[s] for s in wanted if s in claims}
-                id_to_name = {
-                    chebi_id: _preferred(blob, ids_start, chebi_id)
-                    for chebi_id in set(map(itemgetter(2), claims.values()))
-                }
-                return cls(id_to_name, stats, source_checksum, stoplist=stoplist,
-                           claims=claims, wanted=wanted)
-            records = blob[body_start : ids_start - 1].decode("utf-8").split("\n")[:-1]
-            with _SurfaceCounts(stoplist) as counter:
-                for record in records:
-                    _, digits, normalized, _, _ = record.split("\t")
-                    counter.add(normalized, digits != "")
-                counts = counter.counts()
-            surface_count, _, owners = _tally(records, counts, stoplist)
-            id_to_name = {}
-            for line in blob[ids_start:].decode("utf-8").split("\n")[:-1]:
-                chebi_id, name = line.split("\t")
-                id_to_name[chebi_id] = json.loads(name)
-        except (ValueError, TypeError) as exc:
-            raise IndexFormatError(f"{path}: bad record ({exc}); {_REBUILD}") from exc
-        declared = (stats.entry_count, stats.surface_count)
-        body = (len(id_to_name), surface_count)
-        if declared != body or id_to_name.keys() != {f"CHEBI:{n}" for n in owners}:
-            raise IndexFormatError(
-                f"{path}: header declares {declared[0]} ids and {declared[1]} surfaces, "
-                f"body has {body[0]} and {body[1]}; {_REBUILD}"
-            )
-        return cls(id_to_name, stats, source_checksum, records, stoplist)
+        return cls({}, stats, header.get("source_sha256", ""),
+                   stoplist=frozenset(header.get("stoplist", ())),
+                   saved=(blob, body_start, ids_start))
 
 
 def _spelling_key(text: str) -> str:
@@ -451,21 +413,16 @@ def _parse_record(record: str) -> tuple[str, int, int]:
     return normalized, int(numeric), int(rank)
 
 
-def _spelling_records(
-    blob: bytes, lo: int, hi: int, wanted: frozenset[str]
-) -> list[tuple[str, int, int]]:
+def _spelling_records(blob: bytes, lo: int, hi: int, surface: str) -> Iterator[tuple[str, int, int]]:
     """The records among the sorted ones in `blob[lo:hi]` of every name that
-    can spell one of the `wanted` surfaces."""
-    found: set[bytes] = set()
-    for form in wanted:
-        for key in _candidate_keys(form):
-            prefix = f"{key}\t".encode("utf-8")
-            pos = _bisect_lines(blob, lo, hi, prefix.__gt__)
-            while pos < hi and blob.startswith(prefix, pos):
-                end = blob.index(b"\n", pos)
-                found.add(blob[pos:end])
-                pos = end + 1
-    return [_parse_record(line.decode("utf-8")) for line in found]
+    can spell `surface`."""
+    for key in _candidate_keys(surface):
+        prefix = f"{key}\t".encode("utf-8")
+        pos = _bisect_lines(blob, lo, hi, prefix.__gt__)
+        while pos < hi and blob.startswith(prefix, pos):
+            end = blob.index(b"\n", pos)
+            yield _parse_record(blob[pos:end].decode("utf-8"))
+            pos = end + 1
 
 
 def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
@@ -493,13 +450,13 @@ def _bisect_lines(blob: bytes, lo: int, hi: int, before) -> int:
     return lo
 
 
-def _preferred(blob: bytes, ids_start: int, chebi_id: str) -> str:
-    """The preferred name on the identifier line of `chebi_id`."""
+def _preferred(blob: bytes, ids_start: int, chebi_id: str) -> str | None:
+    """The preferred name on the identifier line of `chebi_id`, if it has one."""
     numeric = chebi_numeric(chebi_id)
     pos = _bisect_lines(blob, ids_start, len(blob), lambda line: _line_numeric(line) < numeric)
     end = blob.find(b"\n", pos)
     if end < 0 or _line_numeric(blob[pos:end]) != numeric:
-        raise ValueError(f"no name line for {chebi_id}")
+        return None
     return json.loads(blob[pos:end].partition(b"\t")[2])
 
 

@@ -60,7 +60,6 @@ from .lexicon import (
     file_sha256,
     header_sha256,
     load_stoplist,
-    normalize,
     parse_chebi_source,
 )
 from .linker import HazardTable, LinkedHazard, aggregate, emit_report, link_candidate
@@ -77,7 +76,6 @@ from .response_parser import (
     RECOVERED,
     UNPARSEABLE,
     WELL_FORMED,
-    ExtractionCandidate,
     extract_mapping,
     gate_by_food,
 )
@@ -397,9 +395,8 @@ def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
             parse_stats=stats,
         )
         index.save(out)
-        counts = index.stats.as_dict()
-        _write_json(report_path, counts)
-        return counts
+        _write_json(report_path, index.stats)
+        return vars(index.stats)
 
     manifest = area / "build.manifest.json"
     return _stage("build-lexicon", manifest, inputs, signature, [out, report_path], work)
@@ -517,10 +514,11 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
     def work() -> dict:
         records = {r.record_key: r for r in _read_records(filtered_path)}
         responses = ResponseStore(responses_path).load()
+        index = LexiconIndex.load(index_path)
         status_counts = {WELL_FORMED: 0, RECOVERED: 0, UNPARSEABLE: 0}
         candidates = []
-        gated_pairs: list[tuple[ExtractionCandidate, AbstractRecord]] = []
-        dropped_by_gating = missing_abstract = truncated = 0
+        mentions: list[tuple[str, AbstractRecord]] = []
+        dropped_by_gating = missing_abstract = truncated = resolved = unresolved = 0
         for response in responses:
             if response.truncated:
                 truncated += 1
@@ -534,24 +532,10 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
                 continue
             gated = gate_by_food(candidate, food)
             dropped_by_gating += len(candidate.food_terms) - len(gated.food_terms)
-            gated_pairs.append((gated, record))
-        # Load only the names that can spell these hazards; `lookup` tries the raw
-        # string before its normalized form. An abbreviation expansion is known only
-        # once its lookup has missed, so one that falls outside gets a second load.
-        wanted = {
-            form
-            for gated, _ in gated_pairs
-            for hazards in gated.food_terms.values()
-            for hazard in hazards
-            for form in (hazard, normalize(hazard))
-        }
-        index = LexiconIndex.load(index_path, wanted=wanted)
-        mentions, resolved, unresolved = _link_all(gated_pairs, index)
-        if index.unplanned:
-            log.info("link[%s]: %d expanded surfaces not in the first load, loading again",
-                     stem, len(index.unplanned))
-            index = LexiconIndex.load(index_path, wanted=wanted | index.unplanned)
-            mentions, resolved, unresolved = _link_all(gated_pairs, index)
+            outcome = link_candidate(gated, record, index)
+            unresolved += len(outcome.unresolved)
+            resolved += len(outcome.pairs)
+            mentions.extend((chebi_id, record) for _, chebi_id in outcome.pairs)
         write_candidates_jsonl(candidates_path, candidates)
         table = aggregate(mentions, food, index)
         _write_json(table_path, {"style": style.value, **vars(table)})
@@ -568,18 +552,6 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
 
     manifest = candidates_path.with_name(f"link__{stem}.manifest.json")
     return _stage("link", manifest, inputs, signature, [candidates_path, table_path], work)
-
-
-def _link_all(gated_pairs, index: LexiconIndex):
-    """Link every gated candidate: the mentions, then the resolved and unresolved counts."""
-    mentions: list[tuple[str, AbstractRecord]] = []
-    resolved = unresolved = 0
-    for gated, record in gated_pairs:
-        outcome = link_candidate(gated, record, index)
-        unresolved += len(outcome.unresolved)
-        resolved += len(outcome.pairs)
-        mentions.extend((chebi_id, record) for _, chebi_id in outcome.pairs)
-    return mentions, resolved, unresolved
 
 
 def stage_report(cfg: PipelineConfig, food_name: str) -> StageResult:

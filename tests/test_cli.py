@@ -603,38 +603,44 @@ class TestStageCommands:
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert "up to date" in result.output
 
-    def test_expansion_named_by_no_response_is_linked_by_a_second_load(self, tmp_path,
-                                                                         monkeypatch):
+    def test_expansion_named_by_no_response_is_linked_after_one_load(self, tmp_path,
+                                                                      monkeypatch):
+        from hazardex import pipeline
         from hazardex.lexicon import LexiconIndex
 
-        load = LexiconIndex.load.__func__
-        outputs, loads = {}, {}
-        for mode in ("restricted", "full"):
+        load, build = LexiconIndex.load.__func__, pipeline.build_index
+        outputs = {}
+        for mode in ("loaded", "built"):
             ws = make_workspace(tmp_path / mode)
             # "Deoxynivalenol (DON)" defines the abbreviation; only "DON" is answered.
             (fixture,) = (ws["root"] / "fixtures").glob("step_by_step__*d4*.txt")
             fixture.write_text("{'dairy feed': ['DON']}", encoding="utf-8")
-            seen = loads[mode] = []
+            built, seen = [], []
 
-            def spy(cls, path, wanted=None, _mode=mode, _seen=seen):
-                _seen.append(None if wanted is None else set(wanted))
-                return load(cls, path, None if _mode == "full" else wanted)
+            def build_spy(*args, _built=built, **kwargs):
+                _built.append(build(*args, **kwargs))
+                return _built[-1]
 
-            monkeypatch.setattr(LexiconIndex, "load", classmethod(spy))
+            def load_spy(cls, path, _mode=mode, _seen=seen, _built=built):
+                _seen.append(path)
+                # The reference run looks every surface up in the build's whole claim map.
+                return load(cls, path) if _mode == "loaded" else _built[-1]
+
+            monkeypatch.setattr(pipeline, "build_index", build_spy)
+            monkeypatch.setattr(LexiconIndex, "load", classmethod(load_spy))
             result = invoke("--config", ws["config"], "run-all", "--food", "dairy")
             monkeypatch.undo()
             assert result.exit_code == 0, result.output
+            links = list((ws["workdir"] / "candidates").glob("link__*.manifest.json"))
+            assert len(seen) == len(links) == 1
             outputs[mode] = {
                 path.relative_to(ws["workdir"]).as_posix(): path.read_bytes()
                 for area in ("candidates", "tables", "reports")
                 for path in sorted((ws["workdir"] / area).iterdir())
                 if not path.name.endswith(".manifest.json")
             }
-        first, second = loads["restricted"]
-        assert {"Cd", "cd", "DON", "don"} <= first and "Deoxynivalenol" not in first
-        assert {"Deoxynivalenol", "deoxynivalenol"} <= second
-        assert outputs["restricted"] == outputs["full"]
-        table = json.loads(outputs["full"]["tables/dairy__step_by_step.json"])
+        assert outputs["loaded"] == outputs["built"]
+        table = json.loads(outputs["loaded"]["tables/dairy__step_by_step.json"])
         assert "CHEBI:4995" in [row["chebi_id"] for row in table["rows"]]
 
     def test_torn_last_response_line_is_dropped_then_requested_again(self, workspace):
@@ -977,9 +983,9 @@ def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stu
 
 
 def test_benchmark_spans_find_every_traced_name():
-    """perfbench hooks these names by attribute and calls the stages as
-    `in_process_pass` does: a refactor that breaks one fails here rather than
-    in the next traced benchmark run. The benchmark's files are read, not
+    """perfbench hooks these names by attribute, calls the stages as
+    `in_process_pass` does and loads the index as `traced` does: a refactor
+    that breaks one fails here rather than in the next traced benchmark run. The benchmark's files are read, not
     imported, so nothing is written under perfbench/."""
     import ast
     import importlib
@@ -987,6 +993,7 @@ def test_benchmark_spans_find_every_traced_name():
 
     import hazardex.cli
     from hazardex import pipeline
+    from hazardex.lexicon import LexiconIndex
 
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     spans = {"__name__": "spans"}
@@ -999,15 +1006,22 @@ def test_benchmark_spans_find_every_traced_name():
         assert callable(getattr(hazardex.cli, f"stage_{stage}")), stage
 
     run = ast.parse((perfbench / "run.py").read_text("utf-8"))
-    (in_process_pass,) = [n for n in run.body if getattr(n, "name", "") == "in_process_pass"]
-    calls = [
-        node for node in ast.walk(in_process_pass)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", "").startswith("stage_")
-    ]
-    assert sorted(c.func.attr for c in calls) == sorted(f"stage_{s}" for s in spans["STAGES"])
-    for call in calls:
-        stage = getattr(pipeline, call.func.attr)
-        inspect.signature(stage).bind(*call.args, **{k.arg: None for k in call.keywords})
+
+    def calls(function, matches):
+        (node,) = [n for n in run.body if getattr(n, "name", "") == function]
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call) and matches(c.func)]
+
+    def bind(target, call):
+        inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
+
+    stages = calls("in_process_pass", lambda f: getattr(f, "attr", "").startswith("stage_"))
+    assert sorted(c.func.attr for c in stages) == sorted(f"stage_{s}" for s in spans["STAGES"])
+    for call in stages:
+        bind(getattr(pipeline, call.func.attr), call)
+    loads = calls("traced", lambda f: ast.unparse(f) == "LexiconIndex.load")
+    assert loads
+    for call in loads:
+        bind(LexiconIndex.load, call)
 
 
 def test_importing_the_cli_leaves_requests_unloaded():

@@ -330,7 +330,7 @@ class TestBuildIndex:
             small_index([("CHEBI:5", "solvent", "NAME")], default_stoplist())
 
     def test_stats_reflect_entries_and_surfaces(self, lexicon_index):
-        stats = lexicon_index.stats.as_dict()
+        stats = vars(lexicon_index.stats)
         assert stats["entry_count"] == 11  # 12 names minus the stoplisted one
         assert stats["surface_count"] == 46
         assert stats["collisions"] == 0
@@ -377,7 +377,7 @@ class TestIndexPersistence:
         loaded = LexiconIndex.load(path)
         assert loaded.lookup("Cd") == "CHEBI:28628"
         assert loaded.preferred_name("CHEBI:16526") == "benzene"
-        assert loaded.stats.as_dict() == lexicon_index.stats.as_dict()
+        assert loaded.stats == lexicon_index.stats
 
     def test_build_and_save_are_deterministic(self, chebi_dump, tmp_path):
         blobs = []
@@ -462,20 +462,18 @@ class TestIndexPersistence:
         assert loaded.preferred_name("CHEBI:7") == "β-Carotène"
         assert loaded.preferred_name("CHEBI:12") == 'the "quoted" back\\slash'
         assert loaded.stats == idx.stats
-        loaded.save(second)
+        idx.save(second)
         assert first.read_bytes() == second.read_bytes()
         assert "β-Carotène".encode("utf-8") in first.read_bytes()
 
-    @pytest.mark.parametrize("wanted", [None, {"next line", "line sep toxin", 'say "x" \\ y'}],
-                             ids=["full", "restricted"])
-    def test_names_with_line_breaks_quotes_and_backslashes_round_trip(self, tmp_path, wanted):
+    def test_names_with_line_breaks_quotes_and_backslashes_round_trip(self, tmp_path):
         # NEL and LINE SEPARATOR end a line for `str.splitlines`, not for the file.
         rows = [("CHEBI:40", "Next\x85line", "NAME"), ("CHEBI:41", "line\u2028sep toxin", "NAME"),
                 ("CHEBI:42", 'say "x" \\ y', "NAME"), ("CHEBI:43", "plain", "NAME")]
         path = tmp_path / "index.jsonl"
         small_index(rows).save(path)
         assert path.read_bytes().count(b"\n") == 1 + len(rows) + 1 + len(rows)
-        loaded = LexiconIndex.load(path, wanted=wanted)
+        loaded = LexiconIndex.load(path)
         for chebi_id, name, _ in rows[:3]:
             assert loaded.lookup(normalize(name)) == chebi_id
             assert loaded.preferred_name(chebi_id) == name
@@ -504,15 +502,8 @@ class TestIndexPersistence:
         assert path.read_bytes() == written[0]
 
     @pytest.mark.parametrize(
-        "cut,wanted",
-        [
-            pytest.param(cut, wanted, id=cut if wanted is None else f"{cut}-restricted")
-            for wanted in (None, {"cadmium", "benzene"})
-            for cut in ("torn_line", "line_boundary", "garbage_row", "torn_brackets",
-                        "edited_rank")
-        ],
-    )
-    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut, wanted):
+        "cut", ["torn_line", "line_boundary", "garbage_row", "torn_brackets", "edited_rank"])
+    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut):
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
         lines = path.read_bytes().splitlines(keepends=True)
@@ -530,18 +521,6 @@ class TestIndexPersistence:
             body = b"".join(lines[:2] + [b'{"id": "CHEBI:1"}\n'] + lines[2:])
         path.write_bytes(body)
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
-            LexiconIndex.load(path, wanted=wanted)
-
-    @pytest.mark.parametrize("field", ["entry_count", "surface_count"])
-    def test_full_load_checks_the_header_counts(self, lexicon_index, tmp_path, field):
-        # The checksum covers the body only; the replay checks the header's counts.
-        path = tmp_path / "index.jsonl"
-        lexicon_index.save(path)
-        header_line, body = path.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        header[field] -= 1
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
-        with pytest.raises(IndexFormatError, match="header declares"):
             LexiconIndex.load(path)
 
     def test_load_rejects_foreign_files(self, tmp_path):
@@ -552,7 +531,7 @@ class TestIndexPersistence:
 
 
 # --------------------------------------------------------------------------
-# loading only the wanted surfaces
+# a loaded index, read one surface at a time
 # --------------------------------------------------------------------------
 
 # Names whose saved rows need escapes: a quote, a backslash, and quoted text
@@ -583,14 +562,19 @@ _AWKWARD_ROWS = [
 
 
 @pytest.fixture(scope="module")
-def seeded_index_file(tmp_path_factory):
+def seeded_index():
     rng = random.Random(6006)
     rows = list(_AWKWARD_ROWS)
     for number in rng.sample(range(100, 50_000), 400):
         for name_type in ["NAME"] + ["SYNONYM"] * rng.randint(0, 2):
             rows.append((f"CHEBI:{number}", random_surface_name(rng), name_type))
-    path = tmp_path_factory.mktemp("restricted") / "index.jsonl"
-    build_index(rows, default_stoplist()).save(path)
+    return build_index(rows, default_stoplist())
+
+
+@pytest.fixture(scope="module")
+def seeded_index_file(seeded_index, tmp_path_factory):
+    path = tmp_path_factory.mktemp("seeded") / "index.jsonl"
+    seeded_index.save(path)
     return path
 
 
@@ -606,7 +590,7 @@ def _respellings(surface):
 
 
 class TestSpellingKey:
-    """Every surface of a name leads a restricted load back to that name."""
+    """Every surface of a name leads a lookup on a loaded index back to that name."""
 
     @staticmethod
     def check(name):
@@ -640,86 +624,51 @@ class TestSpellingKey:
 
 
 class TestRestrictedLoad:
+    """A loaded index reads only the records that can spell what it is asked."""
+
     def test_awkward_rows_are_escaped_in_the_file(self, seeded_index_file):
         text = seeded_index_file.read_text(encoding="utf-8")
         assert '\\",\\"separator' in text and '\\",[\\"opening' in text
         assert "١" in text and "β-carotène" in text
 
-    def test_random_wanted_sets_answer_as_the_full_load(self, seeded_index_file):
-        full = LexiconIndex.load(seeded_index_file)
+    def test_a_loaded_index_answers_as_the_built_one(self, seeded_index, seeded_index_file):
+        loaded = LexiconIndex.load(seeded_index_file)
+        assert loaded.stats == seeded_index.stats
+        # "boraxe" finds only CHEBI:26, whose plural "boraxes" is CHEBI:25's name:
+        # the claim that found it must not answer for "boraxes".
+        assert loaded.lookup("boraxe") == "CHEBI:26"
+        assert loaded.lookup("boraxes") == "CHEBI:25"
+        assert loaded.lookup("Β-CAROTÈNE") == "CHEBI:15"
+        assert loaded.preferred_name("CHEBI:15") == "β-carotène"
         surfaces = _saved_surfaces(seeded_index_file)
-        awkward = [surfaces_for(name) for _, name, _ in _AWKWARD_ROWS]
-        rng = random.Random(7007)
-        for trial in range(40):
-            asked = rng.sample(surfaces, rng.randint(0, 12))
-            asked += [rng.choice(sorted(s)) for s in rng.sample(awkward, 3)]
-            asked += [random_surface_name(rng) + " unknown" for _ in range(rng.randint(0, 5))]
-            asked += [rng.choice(_respellings(s)) for s in rng.sample(surfaces, 5)]
-            asked += ["", "patulin", "PATULINS", '"]]', '","', 'fake","separator']
-            wanted = {form for s in asked for form in (s, normalize(s))}
-            restricted = LexiconIndex.load(seeded_index_file, wanted=wanted)
-            assert restricted.stats == full.stats
-            for surface in asked:
-                chebi_id = restricted.lookup(surface)
-                assert chebi_id == full.lookup(surface), (trial, surface)
-                if chebi_id is not None:
-                    assert restricted.preferred_name(chebi_id) == full.preferred_name(chebi_id)
-            assert restricted.unplanned == set(), trial
-
-    def test_each_surface_alone_answers_as_the_full_load(self, seeded_index_file):
-        # One surface per load: no other wanted form can bring its claimants back.
-        full = LexiconIndex.load(seeded_index_file)
         awkward = sorted(set().union(*(surfaces_for(name) for _, name, _ in _AWKWARD_ROWS)))
-        rng = random.Random(8008)
-        for surface in awkward + rng.sample(_saved_surfaces(seeded_index_file), 150):
-            restricted = LexiconIndex.load(seeded_index_file, wanted={surface})
-            chebi_id = restricted.lookup(surface)
-            assert chebi_id == full.lookup(surface) is not None, surface
-            assert restricted.preferred_name(chebi_id) == full.preferred_name(chebi_id)
-        assert [full.lookup(s) for s in ("toxin b1", "toxin-b1", "toxinb-1")] == [
-            "CHEBI:18", "CHEBI:19", "CHEBI:20"]
-        assert full.lookup("berries") == "CHEBI:21" and full.lookup("boraxes") == "CHEBI:25"
-        # "boraxe" brings back only CHEBI:26, whose plural "boraxes" is CHEBI:25's
-        # name: a surface outside `wanted` is not answered from a partial claim.
-        restricted = LexiconIndex.load(seeded_index_file, wanted={"boraxe"})
-        assert restricted.lookup("boraxe") == "CHEBI:26"
-        assert restricted.lookup("boraxes") is None
-        assert restricted.unplanned == {"boraxes"}
+        rng = random.Random(7007)
+        unknown = [random_surface_name(rng) + " unknown" for _ in range(100)]
+        asked = surfaces + [r for s in surfaces for r in _respellings(s)] + awkward + unknown
+        asked += ["", "PATULINS", '"]]', '","', "toxin b1", "toxin-b1", "toxinb-1", "berries"]
+        for surface in asked:
+            chebi_id = loaded.lookup(surface)
+            assert chebi_id == seeded_index.lookup(surface), surface
+            if chebi_id is not None:
+                assert loaded.preferred_name(chebi_id) == seeded_index.preferred_name(chebi_id)
+        assert [loaded.lookup(s) for s in ("toxin b1", "toxin-b1", "toxinb-1", "berries")] == [
+            "CHEBI:18", "CHEBI:19", "CHEBI:20", "CHEBI:21"]
 
-    def test_a_miss_outside_the_wanted_set_is_recorded_and_a_second_load_answers_it(
-        self, seeded_index_file
-    ):
-        full = LexiconIndex.load(seeded_index_file)
-        restricted = LexiconIndex.load(seeded_index_file, wanted={"patulin"})
-        assert restricted.lookup("patulin") == "CHEBI:17"
-        assert restricted.preferred_name("CHEBI:17") == 'odd",["name'
-        assert restricted.unplanned == set()
-        assert restricted.lookup("Β-CAROTÈNE") is None
-        assert full.lookup("Β-CAROTÈNE") == "CHEBI:15"
-        assert restricted.unplanned == {"Β-CAROTÈNE", "β-carotène"}
-        assert restricted.preferred_name("CHEBI:15") == "CHEBI:15"
-        again = LexiconIndex.load(seeded_index_file, wanted={"patulin"} | restricted.unplanned)
-        assert again.lookup("Β-CAROTÈNE") == "CHEBI:15"
-        assert again.preferred_name("CHEBI:15") == "β-carotène"
-        assert again.unplanned == set()
-
-    def test_a_restricted_index_cannot_be_saved(self, seeded_index_file, tmp_path):
-        restricted = LexiconIndex.load(seeded_index_file, wanted={"patulin"})
+    def test_a_loaded_index_cannot_be_saved(self, seeded_index_file, tmp_path):
+        loaded = LexiconIndex.load(seeded_index_file)
         target = tmp_path / "index.jsonl"
         target.write_bytes(seeded_index_file.read_bytes())
         with pytest.raises(ValueError, match="partly loaded"):
-            restricted.save(target)
+            loaded.save(target)
         assert target.read_bytes() == seeded_index_file.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
 
-    @pytest.mark.parametrize("wanted", [None, {"patulin"}], ids=["full", "restricted"])
-    def test_a_cut_inside_a_character_is_a_format_error(self, seeded_index_file, tmp_path,
-                                                        wanted):
+    def test_a_cut_inside_a_character_is_a_format_error(self, seeded_index_file, tmp_path):
         blob = seeded_index_file.read_bytes()
         path = tmp_path / "index.jsonl"
         path.write_bytes(blob[: blob.index("β".encode("utf-8")) + 1])
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
-            LexiconIndex.load(path, wanted=wanted)
+            LexiconIndex.load(path)
 
 
 # --------------------------------------------------------------------------
@@ -852,10 +801,9 @@ class TestWorkerCounts:
             index = build_index(rows, stoplist)
             path = tmp_path / f"{cpus}.jsonl"
             index.save(path)
-            loaded = LexiconIndex.load(path)
-            assert loaded.stats == index.stats
-            # One pool for the build and one for the full load, with a spare CPU.
-            assert len(pools) == 2 * (cpus - 1), cpus
+            assert LexiconIndex.load(path).stats == index.stats
+            # One pool, the build's, with a spare CPU: a load counts nothing.
+            assert len(pools) == cpus - 1, cpus
             assert multiprocessing.active_children() == []
             built[cpus] = (index.stats, path.read_bytes())
         assert built[1] == built[2]

@@ -43,9 +43,9 @@ that makes it, so the saved index does not depend on the CPU count.
 a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
 The first `lookup` of a surface binary-searches the sorted records for its
 candidate keys, claims the names it finds and keeps only that surface's
-owner; a preferred name is binary-searched among the identifier lines on
-first use. A built index makes its surface map from its records on its
-first `lookup`.
+owner; a preferred name is binary-searched among the identifier lines.
+A built index makes its surface map from its records on its first
+`lookup`.
 """
 
 from __future__ import annotations
@@ -285,8 +285,8 @@ class LexiconIndex:
     bytes instead and cannot be saved: a lookup searches them for the names
     that can spell the surface asked, and keeps that surface's owner and
     nothing else, since the other surfaces of those names may have
-    claimants it did not find. A preferred name is searched for the same
-    way, on first use.
+    claimants it did not find. A preferred name is binary-searched among
+    the identifier lines each time it is asked for.
     """
 
     def __init__(
@@ -330,8 +330,6 @@ class LexiconIndex:
         if name is None and self._saved is not None:
             blob, _, ids_start = self._saved
             name = _preferred(blob, ids_start, chebi_id)
-            if name is not None:
-                self._id_to_name[chebi_id] = name
         return chebi_id if name is None else name
 
     def save(self, path: str | Path) -> None:

@@ -370,6 +370,16 @@ def _seeded_dump_rows():
     return rows
 
 
+def _load_and_ask(path, asked):
+    """Load `path` as `link` does and look up each of `asked` on it. The
+    whole body is checked before any lookup, so a file that asking only some
+    surfaces would read in part ("restricted") fails as a bare load ("full")."""
+    index = LexiconIndex.load(path)
+    for surface in asked:
+        index.lookup(surface)
+    return index
+
+
 class TestIndexPersistence:
     def test_save_then_load_preserves_lookups_and_stats(self, lexicon_index, tmp_path):
         path = tmp_path / "index.jsonl"
@@ -502,8 +512,15 @@ class TestIndexPersistence:
         assert path.read_bytes() == written[0]
 
     @pytest.mark.parametrize(
-        "cut", ["torn_line", "line_boundary", "garbage_row", "torn_brackets", "edited_rank"])
-    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut):
+        "cut,asked",
+        [
+            pytest.param(cut, asked, id=f"{cut}-restricted" if asked else cut)
+            for asked in ((), ("cadmium", "benzene"))
+            for cut in ("torn_line", "line_boundary", "garbage_row", "torn_brackets",
+                        "edited_rank")
+        ],
+    )
+    def test_load_rejects_corrupt_or_truncated_bodies(self, lexicon_index, tmp_path, cut, asked):
         path = tmp_path / "index.jsonl"
         lexicon_index.save(path)
         lines = path.read_bytes().splitlines(keepends=True)
@@ -521,7 +538,7 @@ class TestIndexPersistence:
             body = b"".join(lines[:2] + [b'{"id": "CHEBI:1"}\n'] + lines[2:])
         path.write_bytes(body)
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
-            LexiconIndex.load(path)
+            _load_and_ask(path, asked)
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -654,6 +671,64 @@ class TestRestrictedLoad:
         assert [loaded.lookup(s) for s in ("toxin b1", "toxin-b1", "toxinb-1", "berries")] == [
             "CHEBI:18", "CHEBI:19", "CHEBI:20", "CHEBI:21"]
 
+    def test_random_wanted_sets_answer_as_the_full_load(self, seeded_index, seeded_index_file):
+        # Each trial asks a fresh load a random set, in a random order; the
+        # built index, which claims every record at once, is the full answer.
+        surfaces = _saved_surfaces(seeded_index_file)
+        awkward = [surfaces_for(name) for _, name, _ in _AWKWARD_ROWS]
+        rng = random.Random(7007)
+        for trial in range(40):
+            asked = rng.sample(surfaces, rng.randint(0, 12))
+            asked += [rng.choice(sorted(s)) for s in rng.sample(awkward, 3)]
+            asked += [random_surface_name(rng) + " unknown" for _ in range(rng.randint(0, 5))]
+            asked += [rng.choice(_respellings(s)) for s in rng.sample(surfaces, 5)]
+            asked += ["", "patulin", "PATULINS", '"]]', '","', 'fake","separator']
+            rng.shuffle(asked)
+            loaded = LexiconIndex.load(seeded_index_file)
+            assert loaded.stats == seeded_index.stats
+            for surface in asked:
+                chebi_id = loaded.lookup(surface)
+                assert chebi_id == seeded_index.lookup(surface), (trial, surface)
+                if chebi_id is not None:
+                    assert loaded.preferred_name(chebi_id) == seeded_index.preferred_name(chebi_id)
+
+    def test_each_surface_alone_answers_as_the_full_load(self, seeded_index, seeded_index_file):
+        # One surface per load: no earlier lookup has claimed anything for it.
+        awkward = sorted(set().union(*(surfaces_for(name) for _, name, _ in _AWKWARD_ROWS)))
+        rng = random.Random(8008)
+        for surface in awkward + rng.sample(_saved_surfaces(seeded_index_file), 150):
+            loaded = LexiconIndex.load(seeded_index_file)
+            chebi_id = loaded.lookup(surface)
+            assert chebi_id == seeded_index.lookup(surface) is not None, surface
+            assert loaded.preferred_name(chebi_id) == seeded_index.preferred_name(chebi_id)
+
+    def test_a_miss_outside_the_wanted_set_is_recorded_and_a_second_load_answers_it(
+        self, seeded_index_file, monkeypatch
+    ):
+        # A lookup searches the saved records once per surface, a miss included;
+        # the surfaces asked so far are the only ones a loaded index holds.
+        searched = []
+        spelling_records = lexicon._spelling_records
+        monkeypatch.setattr(lexicon, "_spelling_records",
+                            lambda blob, lo, hi, surface: searched.append(surface)
+                            or spelling_records(blob, lo, hi, surface))
+        loaded = LexiconIndex.load(seeded_index_file)
+        assert loaded.lookup("patulin") == "CHEBI:17"
+        assert loaded.preferred_name("CHEBI:17") == 'odd",["name'
+        assert searched == ["patulin"]
+        # The raw form misses and is kept as a miss; its normalized form answers.
+        assert loaded.lookup("Β-CAROTÈNE") == "CHEBI:15"
+        assert searched == ["patulin", "Β-CAROTÈNE", "β-carotène"]
+        assert loaded.lookup("patulin unknown") is None
+        assert [loaded.lookup(s) for s in ("Β-CAROTÈNE", "patulin unknown")] == ["CHEBI:15", None]
+        assert searched == ["patulin", "Β-CAROTÈNE", "β-carotène", "patulin unknown"]
+        # A second load starts with nothing kept and answers the same.
+        again = LexiconIndex.load(seeded_index_file)
+        assert again.lookup("Β-CAROTÈNE") == "CHEBI:15"
+        assert again.preferred_name("CHEBI:15") == "β-carotène"
+        assert again.lookup("patulin unknown") is None
+        assert searched[4:] == ["Β-CAROTÈNE", "β-carotène", "patulin unknown"]
+
     def test_a_loaded_index_cannot_be_saved(self, seeded_index_file, tmp_path):
         loaded = LexiconIndex.load(seeded_index_file)
         target = tmp_path / "index.jsonl"
@@ -663,12 +738,14 @@ class TestRestrictedLoad:
         assert target.read_bytes() == seeded_index_file.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.jsonl"]
 
-    def test_a_cut_inside_a_character_is_a_format_error(self, seeded_index_file, tmp_path):
+    @pytest.mark.parametrize("asked", [(), ("patulin",)], ids=["full", "restricted"])
+    def test_a_cut_inside_a_character_is_a_format_error(self, seeded_index_file, tmp_path,
+                                                        asked):
         blob = seeded_index_file.read_bytes()
         path = tmp_path / "index.jsonl"
         path.write_bytes(blob[: blob.index("β".encode("utf-8")) + 1])
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
-            LexiconIndex.load(path)
+            _load_and_ask(path, asked)
 
 
 # --------------------------------------------------------------------------

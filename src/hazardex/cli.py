@@ -123,8 +123,8 @@ def _describe(result: StageResult) -> str:
     if result.skipped:
         return f"{result.stage}: up to date"
     scalars = {k: v for k, v in result.counts.items() if not isinstance(v, (list, dict))}
-    body = " ".join(f"{k}={v}" for k, v in scalars.items())
-    return f"{result.stage}: {body}" if body else f"{result.stage}: done"
+    body = " ".join(f"{k}={v}" for k, v in scalars.items()) or "done"
+    return f"{result.stage}: {body} in {result.duration_s:.2f} s"
 
 
 @main.command()

@@ -8,13 +8,14 @@ number written on the other side of the word ("210-polonium"). Names are also
 pluralized with plain English rules. The index maps every generated surface
 back to one identifier, resolving cross-entry collisions deterministically.
 
-The saved index (format version 3) is UTF-8 text. The first line is a JSON
-header: the format marker, version, dump checksum, build counts, the stoplist
-and the sha256 of everything after it. Then one tab-separated record per dump
-name the stoplist kept, `key letters, key digits, normalized name, numeric
-id, rank` (0 for a NAME row, 1 for a synonym), the records sorted as text;
-a blank line; and one `chebi_id<TAB>"preferred name"` line (the name as a
-JSON string) per identifier, in ChEBI numeric order. The file is replaced
+The saved index (format version 4) is UTF-8 text and holds nothing a load
+can compute. The first line is a JSON header: the format marker, version,
+dump checksum, build counts, the stoplist, the sha256 of everything after
+it, and the sha256 of its own other fields. Then one tab-separated record
+per dump name the stoplist kept, `normalized name, numeric id, rank` (0 for
+a NAME row, 1 for a synonym), sorted by the name's spelling key and then as
+text; a blank line; and one `numeric id<TAB>"preferred name"` line (the name
+as a JSON string) per identifier, in numeric order. The file is replaced
 atomically on save.
 
 A name's spelling key is its letter runs joined and its digit runs in order.
@@ -39,13 +40,13 @@ batch, and every batch when it has no spare CPU. A small dump never fills a
 batch and builds in one process. A count does not depend on the process
 that makes it, so the saved index does not depend on the CPU count.
 
-`LexiconIndex.load` checks the body against the checksum in its header, so
-a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
+`LexiconIndex.load` checks the header and the body against their checksums,
+so a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
 The first `lookup` of a surface binary-searches the sorted records for its
-candidate keys, claims the names it finds and keeps only that surface's
-owner; a preferred name is binary-searched among the identifier lines.
-A built index makes its surface map from its records on its first
-`lookup`.
+candidate keys, computing the key of each name it probes, claims the names
+it finds and keeps only that surface's owner; a preferred name is
+binary-searched among the identifier lines. A built index makes its
+surface map from its records on its first `lookup`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .artifacts import atomic_open
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 _REBUILD = "rerun build-lexicon"
 
 _WS_RE = re.compile(r"\s+")
@@ -279,14 +280,15 @@ class IndexStats:
 class LexiconIndex:
     """Immutable surface → identifier map with per-identifier display names.
 
-    A built index holds the sorted name `records` and the `stoplist` they
-    are expanded under; `save` writes both, and its first `lookup` claims
-    every record's surfaces into one map. A loaded index holds the saved
-    bytes instead and cannot be saved: a lookup searches them for the names
-    that can spell the surface asked, and keeps that surface's owner and
-    nothing else, since the other surfaces of those names may have
-    claimants it did not find. A preferred name is binary-searched among
-    the identifier lines each time it is asked for.
+    A built index holds the sorted `normalized<TAB>numeric id<TAB>rank` name
+    `records` and the `stoplist` they are expanded under; `save` writes both,
+    and its first `lookup` claims every record's surfaces into one map. A
+    loaded index holds the saved bytes instead and cannot be saved: a lookup
+    searches them for the names that can spell the surface asked, computing
+    the spelling key of each name it probes, and keeps that surface's owner
+    and nothing else, since the other surfaces of those names may have
+    claimants it did not find. A preferred name is binary-searched among the
+    identifier lines each time it is asked for.
     """
 
     def __init__(
@@ -338,7 +340,7 @@ class LexiconIndex:
             raise ValueError(f"not saving a partly loaded index over {path}")
         encode = json.JSONEncoder(ensure_ascii=False).encode
         names = b"".join(_encoded(
-            f"{chebi_id}\t{encode(self._id_to_name[chebi_id])}"
+            f"{chebi_id[6:]}\t{encode(self._id_to_name[chebi_id])}"
             for chebi_id in sorted(self._id_to_name, key=chebi_numeric)
         ))
 
@@ -360,6 +362,7 @@ class LexiconIndex:
             "stoplist": sorted(self._stoplist),
             "body_sha256": digest.hexdigest(),
         }
+        header["header_sha256"] = _fields_sha256(header)
         with atomic_open(path, "wb") as fh:
             fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
@@ -407,20 +410,29 @@ def _candidate_keys(surface: str) -> set[str]:
 
 
 def _parse_record(record: str) -> tuple[str, int, int]:
-    _, _, normalized, numeric, rank = record.split("\t")
+    """A record, with or without the build's key columns in front, as
+    `(normalized name, numeric id, rank)`."""
+    *_, normalized, numeric, rank = record.split("\t")
     return normalized, int(numeric), int(rank)
 
 
 def _spelling_records(blob: bytes, lo: int, hi: int, surface: str) -> Iterator[tuple[str, int, int]]:
     """The records among the sorted ones in `blob[lo:hi]` of every name that
-    can spell `surface`."""
+    can spell `surface`. The records are sorted by the spelling key of their
+    name first, so each key's records are one run of lines."""
     for key in _candidate_keys(surface):
-        prefix = f"{key}\t".encode("utf-8")
-        pos = _bisect_lines(blob, lo, hi, prefix.__gt__)
-        while pos < hi and blob.startswith(prefix, pos):
+        pos = _bisect_lines(blob, lo, hi, lambda line: _line_key(line) < key)
+        while pos < hi:
             end = blob.index(b"\n", pos)
-            yield _parse_record(blob[pos:end].decode("utf-8"))
+            record = _parse_record(blob[pos:end].decode("utf-8"))
+            if _spelling_key(record[0]) != key:
+                break
+            yield record
             pos = end + 1
+
+
+def _line_key(line: bytes) -> str:
+    return _spelling_key(line[: line.index(b"\t")].decode("utf-8"))
 
 
 def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
@@ -459,12 +471,19 @@ def _preferred(blob: bytes, ids_start: int, chebi_id: str) -> str | None:
 
 
 def _line_numeric(line: bytes) -> int:
-    return chebi_numeric(line[: line.index(b"\t")].decode("utf-8"))
+    return int(line[: line.index(b"\t")])
+
+
+def _fields_sha256(fields: dict) -> str:
+    """The sha256 of `fields` as canonical JSON: sorted keys, no spaces, UTF-8."""
+    text = json.dumps(fields, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
-    """The header and bytes of a saved index whose body matches its checksum,
-    with the offsets where its name records and its identifier lines start."""
+    """The header and bytes of a saved index whose header and body match
+    their checksums, with the offsets where its name records and its
+    identifier lines start."""
     blob = path.read_bytes()
     body_start = blob.find(b"\n") + 1
     try:
@@ -477,6 +496,9 @@ def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
             f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
             f"got {found[0]!r} v{found[1]!r}; {_REBUILD}"
         )
+    fields = {key: value for key, value in header.items() if key != "header_sha256"}
+    if _fields_sha256(fields) != header.get("header_sha256"):
+        raise IndexFormatError(f"{path}: header does not match its checksum; {_REBUILD}")
     body = memoryview(blob)[body_start:]
     if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
         raise IndexFormatError(f"{path}: body does not match its checksum; {_REBUILD}")
@@ -692,7 +714,13 @@ def build_index(
     surface_count, collisions, owners = _tally(records, counts, stoplist)
     if not surface_count:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
+    # Sorting as text sorts by spelling key first, since the tab that ends a
+    # key sorts before any character a key holds. The saved records drop the
+    # key, which a load computes from the name; cut in place, so the keyed and
+    # the cut strings are not all held at once.
     records.sort()
+    for i, record in enumerate(records):
+        records[i] = record.split("\t", 2)[2]
     for numeric, name in synonyms.items():
         names.setdefault(numeric, name)
     id_to_name = {f"CHEBI:{numeric}": names[numeric] for numeric in owners}

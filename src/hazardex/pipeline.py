@@ -94,6 +94,9 @@ class StageResult:
     counts: dict = field(default_factory=dict)
     # `evaluate`'s accuracy grid, header row first, for the CLI to print.
     grid: list[list[str]] | None = None
+    # The seconds its work took, as its manifest records (report: the sum of
+    # its tables' manifests); read only when the stage was not skipped.
+    duration_s: float | None = None
 
     @property
     def failures(self) -> int:
@@ -178,6 +181,7 @@ def _stage(name: str, manifest: Path, inputs, signature, outputs: list[Path], wo
     for directory in {p.parent for p in (manifest, *outputs)}:
         directory.mkdir(parents=True, exist_ok=True)
     counts = work()
+    duration_s = round(time.perf_counter() - clock, 3)
     _write_json(
         manifest,
         {
@@ -186,13 +190,13 @@ def _stage(name: str, manifest: Path, inputs, signature, outputs: list[Path], wo
             "output_sizes": _output_sizes(outputs),
             "started_at": started,
             "finished_at": _now(),
-            "duration_s": round(time.perf_counter() - clock, 3),
+            "duration_s": duration_s,
             "peak_rss_mb": _peak_rss_mb(),
             "counts": _canon(counts),
         },
     )
     log.info("%s: %s", label, {k: v for k, v in counts.items() if not isinstance(v, list)})
-    return StageResult(name, skipped=False, counts=counts)
+    return StageResult(name, skipped=False, counts=counts, duration_s=duration_s)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -579,8 +583,9 @@ def stage_report(cfg: PipelineConfig, food_name: str) -> StageResult:
         results.append(_stage("report", manifest, [], lambda: signature, outputs, work))
     emitted = [p.stem for p in table_paths]
     log.info("report[%s]: emitted %s", food_name, ", ".join(emitted))
+    done = [r.duration_s for r in results if not r.skipped]
     return StageResult(
-        "report", skipped=all(r.skipped for r in results), counts={"reports": emitted}
+        "report", skipped=not done, counts={"reports": emitted}, duration_s=sum(done)
     )
 
 

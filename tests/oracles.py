@@ -11,7 +11,9 @@ set-for-set / row-for-row equality between package output and these oracles.
 
 from __future__ import annotations
 
+import hashlib
 import html
+import json
 import random
 import re
 from itertools import groupby, product
@@ -149,6 +151,25 @@ def oracle_spelling_key(name: str) -> tuple[str, tuple[str, ...]]:
         elif k == "d":
             digits.append("".join(group))
     return "".join(letters), tuple(digits)
+
+
+def oracle_index_v3(blob: bytes) -> bytes:
+    """A saved version-4 lexicon index in the version-3 layout: each name
+    record led by its spelling key's letters and digits, each identifier
+    line by "CHEBI:", a header with version 3 and no checksum of itself."""
+    header_line, body = blob.split(b"\n", 1)
+    records, ids = body.decode("utf-8").split("\n\n")
+    lines = []
+    for record in records.split("\n"):
+        letters, digits = oracle_spelling_key(record.split("\t")[0])
+        lines.append(f"{letters}\t{','.join(digits)}\t{record}\n")
+    lines.append("\n")
+    lines.extend(f"CHEBI:{line}\n" for line in ids.split("\n")[:-1])
+    v3_body = "".join(lines).encode("utf-8")
+    header = json.loads(header_line)
+    del header["header_sha256"]
+    header.update(version=3, body_sha256=hashlib.sha256(v3_body).hexdigest())
+    return json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n" + v3_body
 
 
 _ALPHA_FRAGMENTS = (

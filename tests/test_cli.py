@@ -9,6 +9,7 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from conftest import (
     write_chebi_tsv,
     write_mock_fixtures,
 )
+from oracles import oracle_index_v3
 from hazardex.cli import main
 from hazardex.config import ConfigError, load_config
 from hazardex.prompting import PromptStyle
@@ -530,6 +532,32 @@ class TestStageCommands:
         assert result.exit_code == 0, result.output
         assert "resolved=8" in result.output
 
+    def test_a_workdir_left_by_the_version_3_layout_is_refused_then_rebuilt(self, workspace):
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        lexicon_dir = workspace["workdir"] / "lexicon"
+        index_path = lexicon_dir / "index.jsonl"
+        built = index_path.read_bytes()
+        # What a version-3 build left: its index, and its manifest.
+        index_path.write_bytes(oracle_index_v3(built))
+        manifest_path = lexicon_dir / "build.manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["input_hashes"]["index_version"] = 3
+        manifest["output_sizes"]["index.jsonl"] = index_path.stat().st_size
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        # The index is not the one link recorded, so link loads it.
+        refused = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert refused.exit_code == 2
+        assert "expected hazardex-lexicon v4, got 'hazardex-lexicon' v3; rerun build-lexicon" in (
+            refused.output)
+        rebuilt = invoke("--config", workspace["config"], "build-lexicon")
+        assert rebuilt.exit_code == 0, rebuilt.output
+        assert "up to date" not in rebuilt.output
+        assert index_path.read_bytes() == built
+        result = invoke("--config", workspace["config"], "link", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "link: up to date" in result.output
+
     def test_truncated_index_is_a_configuration_error(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
@@ -828,6 +856,27 @@ class TestRunAll:
         for path in manifests:
             manifest = json.loads(path.read_text("utf-8"))
             assert {"started_at", "finished_at", "duration_s"} <= set(manifest), path.name
+
+    def test_a_stage_that_worked_prints_the_duration_its_manifest_records(self, workspace):
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        recorded: dict[str, float] = {}
+        for path in sorted(workspace["workdir"].rglob("*.manifest.json")):
+            manifest = json.loads(path.read_text("utf-8"))
+            recorded[manifest["stage"]] = recorded.get(manifest["stage"], 0) + manifest["duration_s"]
+        lines = {line.split(":")[0]: line for line in result.output.splitlines()
+                 if line.split(":")[0] in recorded}
+        assert lines.keys() == recorded.keys() and len(lines) == 7
+        for stage, duration_s in recorded.items():
+            assert lines[stage].endswith(f" in {duration_s:.2f} s"), lines[stage]
+        assert re.fullmatch(r"build-lexicon: entry_count=11 surface_count=\d+ collisions=\d+ "
+                            r"skipped_rows=0 in \d+\.\d\d s", lines["build-lexicon"])
+        assert re.fullmatch(r"report: done in \d+\.\d\d s", lines["report"])
+        rerun = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert rerun.exit_code == 0, rerun.output
+        assert sorted(line for line in rerun.output.splitlines() if line.endswith("up to date")) == [
+            f"{stage}: up to date" for stage in sorted(recorded)]
+        assert not any(line.endswith(" s") for line in rerun.output.splitlines())
 
     def test_every_manifest_records_the_peak_memory_so_far(self, workspace):
         result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")

@@ -22,6 +22,7 @@ from conftest import CHEBI_ROWS, write_chebi_tsv
 from oracles import (
     oracle_claim,
     oracle_expand,
+    oracle_index_v3,
     oracle_pluralize,
     oracle_spelling_key,
     oracle_surfaces,
@@ -344,15 +345,25 @@ class TestBuildIndex:
 
 def _read_body(path):
     """A saved index read by hand: its header, its name records as
-    `(key letters, key digits, name, numeric id, rank)` string tuples, and
-    its identifier lines as an ordered identifier → preferred name dict."""
+    `(name, numeric id, rank)` string tuples, and its identifier lines as an
+    ordered numeric id → preferred name dict. Every id is a bare number."""
     header_line, body = path.read_bytes().split(b"\n", 1)
     records, ids = body.decode("utf-8").split("\n\n")
     names = {}
     for line in ids.split("\n")[:-1]:
-        chebi_id, name = line.split("\t")
-        names[chebi_id] = json.loads(name)
-    return json.loads(header_line), [tuple(line.split("\t")) for line in records.split("\n")], names
+        numeric, name = line.split("\t")
+        assert numeric == str(int(numeric)), line
+        names[int(numeric)] = json.loads(name)
+    records = [tuple(line.split("\t")) for line in records.split("\n")]
+    assert all(len(record) == 3 and record[1] == str(int(record[1])) for record in records)
+    return json.loads(header_line), records, names
+
+
+def _keyed(record):
+    """A `(name, numeric id, rank)` record as text led by the oracle's spelling
+    key of its name: the order the records are saved in."""
+    letters, digits = oracle_spelling_key(record[0])
+    return "\t".join((letters, ",".join(digits), *record))
 
 
 def _seeded_dump_rows():
@@ -413,16 +424,15 @@ class TestIndexPersistence:
                 continue
             rank = 0 if name_type == "NAME" else 1
             preferred[chebi_id] = min(preferred.get(chebi_id, (2,)), (rank, position, name))
-            letters, digits = oracle_spelling_key(normalize(name))
-            records.append((letters, ",".join(digits), normalize(name),
-                            str(chebi_numeric(chebi_id)), str(rank)))
+            records.append((normalize(name), str(chebi_numeric(chebi_id)), str(rank)))
             for surface in oracle_surfaces(normalize(name)) - stoplist:
                 claims.setdefault(surface, []).append((rank, chebi_numeric(chebi_id), chebi_id))
         expected = {surface: min(claimants)[2] for surface, claimants in claims.items()}
 
         header, saved_records, names = _read_body(paths[0])
-        assert saved_records == sorted(records, key="\t".join)
-        assert names == {chebi_id: preferred[chebi_id][2] for chebi_id in set(expected.values())}
+        assert saved_records == sorted(records, key=_keyed)
+        assert names == {chebi_numeric(chebi_id): preferred[chebi_id][2]
+                         for chebi_id in set(expected.values())}
         assert header["surface_count"] == len(expected)
         assert header["stoplist"] == sorted(stoplist)
         loaded = LexiconIndex.load(paths[0])
@@ -444,15 +454,15 @@ class TestIndexPersistence:
         lexicon_index.save(path)
         header, records, names = _read_body(path)
         assert len(names) == lexicon_index.stats.entry_count == header["entry_count"]
-        assert list(map(chebi_numeric, names)) == sorted(map(chebi_numeric, names))
-        assert names["CHEBI:28628"] == "cadmium"
+        assert list(names) == sorted(names)
+        assert names[28628] == "cadmium"
         # One record per dump name that the stoplist keeps, sorted by spelling key.
         kept = [(n, t) for i, t, n in CHEBI_ROWS if normalize(n) not in default_stoplist()]
         assert len(records) == len(kept) == len(CHEBI_ROWS) - 1
-        assert records == sorted(records, key="\t".join)
-        assert ("cadmium", "", "cadmium", "28628", "0") in records
-        assert ("cd", "", "cd", "28628", "1") in records
-        assert ("aflatoxinm", "1", "aflatoxin m1", "27744", "0") in records
+        assert records == sorted(records, key=_keyed)
+        assert ("cadmium", "28628", "0") in records
+        assert ("cd", "28628", "1") in records
+        assert ("aflatoxin m1", "27744", "0") in records
 
     def test_round_trip_keeps_unusual_surfaces_and_is_byte_stable(self, tmp_path):
         idx = small_index([
@@ -540,6 +550,28 @@ class TestIndexPersistence:
         with pytest.raises(IndexFormatError, match="rerun build-lexicon"):
             _load_and_ask(path, asked)
 
+    @pytest.mark.parametrize("field,edit", [
+        ("stoplist", lambda stoplist: sorted(stoplist + ["cadmium"])),
+        ("entry_count", lambda count: count + 1),
+    ])
+    def test_load_rejects_an_edited_header(self, lexicon_index, tmp_path, field, edit):
+        # The body still matches `body_sha256`; the header no longer matches itself.
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header[field] = edit(header[field])
+        path.write_bytes(json.dumps(header, ensure_ascii=False, sort_keys=True).encode() + b"\n" + body)
+        with pytest.raises(IndexFormatError, match="header does not match its checksum; rerun build-lexicon"):
+            LexiconIndex.load(path)
+
+    def test_load_refuses_the_version_3_layout(self, lexicon_index, tmp_path):
+        path = tmp_path / "index.jsonl"
+        lexicon_index.save(path)
+        path.write_bytes(oracle_index_v3(path.read_bytes()))
+        with pytest.raises(IndexFormatError, match="expected hazardex-lexicon v4, got 'hazardex-lexicon' v3"):
+            LexiconIndex.load(path)
+
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"format": "other", "version": 1}) + "\n", encoding="utf-8")
@@ -597,7 +629,7 @@ def seeded_index_file(seeded_index, tmp_path_factory):
 
 def _saved_surfaces(path):
     header, records, _ = _read_body(path)
-    surfaces = set().union(*(oracle_surfaces(name) for _, _, name, _, _ in records))
+    surfaces = set().union(*(oracle_surfaces(name) for name, _, _ in records))
     return sorted(surfaces - set(header["stoplist"]) - {""})
 
 

@@ -733,7 +733,8 @@ def build_index(
 def header_sha256(path: str | Path) -> str:
     """The sha256 of a saved index's first line. The header carries the
     stoplist and pins the body through `body_sha256`, so it changes whenever
-    anything a load reads does; `load` checks the body against it."""
+    anything a load reads does; `load` checks the header against its own
+    `header_sha256` and the body against `body_sha256`."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.readline()).hexdigest()
 

@@ -553,7 +553,7 @@ class TestIndexPersistence:
     @pytest.mark.parametrize("field,edit", [
         ("stoplist", lambda stoplist: sorted(stoplist + ["cadmium"])),
         ("entry_count", lambda count: count + 1),
-    ])
+    ], ids=["stoplist", "entry_count"])
     def test_load_rejects_an_edited_header(self, lexicon_index, tmp_path, field, edit):
         # The body still matches `body_sha256`; the header no longer matches itself.
         path = tmp_path / "index.jsonl"

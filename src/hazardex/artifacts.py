@@ -17,6 +17,7 @@ place; `dataclasses.asdict` deep-copies every field first, which made
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -113,3 +114,11 @@ def read_jsonl(
                 f"{path}: line {line_no} is not {what} ({exc!r}); {remedy}"
             ) from exc
     return records
+
+
+def file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

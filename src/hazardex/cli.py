@@ -14,9 +14,15 @@ from pathlib import Path
 import click
 
 from .artifacts import ArtifactFormatError
+from .common import (
+    BackendError,
+    GoldFormatError,
+    IndexFormatError,
+    LexiconSourceError,
+    PromptStyle,
+    TemplateError,
+)
 from .config import ConfigError, load_config
-from .evaluation import GoldFormatError
-from .lexicon import IndexFormatError, LexiconSourceError
 from .pipeline import (
     PipelineError,
     StageResult,
@@ -30,7 +36,6 @@ from .pipeline import (
     stage_report,
     workdir_lock,
 )
-from .prompting import BackendError, PromptStyle, TemplateError
 
 _HARD_ERRORS = (
     ConfigError,

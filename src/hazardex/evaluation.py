@@ -4,7 +4,9 @@ A cell is correct/total for one (food, prompt style): total is the table's
 row count, correct counts rows judged correct. Percentages are displayed at
 one decimal, rounded half-up, matching how the counts are reported. Styles
 are compared on pooled accuracy first, then on the absolute number of correct
-hazards; a full tie reports both styles without a winner.
+hazards; a full tie reports both styles without a winner. As in the paper,
+the prompt is also selected on the foods every style was judged on and
+reported by its mean over its other foods.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ import csv
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .artifacts import atomic_open
+from .common import GoldFormatError
 from .lexicon import is_chebi_id
-from .linker import HazardTable
+
+if TYPE_CHECKING:
+    from .linker import HazardTable
 
 VERDICT_CORRECT = "correct"
 VERDICT_INCORRECT = "incorrect"
-
-
-class GoldFormatError(Exception):
-    """The gold CSV is malformed; the message names the offending row."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,34 @@ def compare_prompts(reports: Mapping[str, AccuracyReport] | Iterable[AccuracyRep
         sorted(style for style, s in summaries.items() if (s.ratio, s.correct) == top)
     )
     return PromptComparison(summaries=summaries, best=best)
+
+
+def select_prompt(reports: Mapping[str, AccuracyReport]) -> dict:
+    """The paper's headline: the style ranked best, as `compare_prompts`
+    ranks, on the selection foods only (the foods every style has a cell
+    for), and its mean per-food percent over its other foods, the test
+    foods. A tie selects no style; without test foods, or with only empty
+    ones, there is no mean."""
+    foods = [{food for food, _ in report.cells} for report in reports.values()]
+    selection = sorted(set.intersection(*foods)) if foods else []
+    ranked = compare_prompts(
+        {
+            style: AccuracyReport(style, {k: c for k, c in report.cells.items() if k[0] in selection})
+            for style, report in reports.items()
+        }
+    )
+    selected = ranked.best[0] if len(ranked.best) == 1 else None
+    test_cells = [] if selected is None else [
+        (food, cell) for (food, _), cell in sorted(reports[selected].cells.items()) if food not in selection
+    ]
+    percents = [Decimal(c.correct) * 100 / Decimal(c.total) for _, c in test_cells if c.total]
+    mean = sum(percents) / len(percents) if percents else None
+    return {
+        "selection_foods": selection,
+        "selected": selected,
+        "test_foods": [food for food, _ in test_cells],
+        "test_mean_percent": None if mean is None else float(mean.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)),
+    }
 
 
 def report_to_json_dict(report: AccuracyReport) -> dict:

@@ -67,6 +67,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .artifacts import atomic_open
+from .common import IndexFormatError, LexiconSourceError
 
 log = logging.getLogger(__name__)
 
@@ -93,14 +94,6 @@ _SWAP_MAX_TOKENS = 4
 
 _VOWELS = frozenset("aeiou")
 _ES_SUFFIXES = ("s", "x", "z", "ch", "sh")
-
-
-class LexiconSourceError(Exception):
-    """The names dump cannot be read in the expected tab-separated layout."""
-
-
-class IndexFormatError(Exception):
-    """An index artifact is malformed, truncated, or of another format or version."""
 
 
 def is_chebi_id(value: str) -> bool:
@@ -737,11 +730,3 @@ def header_sha256(path: str | Path) -> str:
     `header_sha256` and the body against `body_sha256`."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.readline()).hexdigest()
-
-
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

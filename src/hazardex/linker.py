@@ -16,12 +16,14 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .artifacts import atomic_open, write_json
 from .corpus import AbstractRecord, FoodSpec
-from .lexicon import LexiconIndex
-from .response_parser import ExtractionCandidate
+
+if TYPE_CHECKING:
+    from .lexicon import LexiconIndex
+    from .response_parser import ExtractionCandidate
 
 ABBREVIATION_WINDOW_WORDS = 8
 

@@ -11,12 +11,23 @@ cursor state so an interrupted crawl resumes instead of refetching, and
 extraction skips every (abstract, style) pair the response store already
 holds. All data goes to files under the workdir, written through
 `artifacts`; a `.lock` file keeps concurrent runs off the same workdir.
+
+Each CLI command runs one stage in a fresh interpreter, so this module loads
+no stage module when imported: a stage imports what it uses when it runs,
+and what only its `work()` uses inside `work()`, so a stage found up to date
+loads only what its signature reads. The stage functions that
+`perfbench/spans.py` times by rebinding them in this module's namespace
+(`build_index`, `link_candidate`, …) stay module-level names, bound to
+stand-ins by `_on_first_call`: a local import would bypass the timing
+wrapper. Once the benchmark wraps them in their defining modules instead,
+the stand-ins can become local imports.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -27,10 +38,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .artifacts import json_line, read_jsonl, write_json as _write_json, write_jsonl
+from .artifacts import file_sha256, json_line, read_jsonl, write_json as _write_json, write_jsonl
 # `perfbench/spans.py` times the candidates write under this name.
 from .artifacts import write_jsonl as write_candidates_jsonl
+from .common import PromptStyle
 from .config import PipelineConfig
 from .corpus import (
     AbstractRecord,
@@ -41,44 +54,39 @@ from .corpus import (
     dedupe,
     filter_by_food,
 )
-from .epmc import FIRST_CURSOR, DecodeError, EuropePmcClient, FetchError
-from .evaluation import (
-    AccuracyReport,
-    compare_prompts,
-    grid_rows,
-    load_gold,
-    report_to_json_dict,
-    score,
-    write_grid_csv,
-)
-from .lexicon import (
-    INDEX_VERSION,
-    LexiconIndex,
-    ParseStats,
-    build_index,
-    default_stoplist,
-    file_sha256,
-    header_sha256,
-    load_stoplist,
-    parse_chebi_source,
-)
-from .linker import HazardTable, LinkedHazard, aggregate, emit_report, link_candidate
-from .prompting import (
-    DecodingParams,
-    HttpBackend,
-    MockBackend,
-    PromptStyle,
-    ResponseStore,
-    load_template,
-    run_extraction,
-)
-from .response_parser import (
-    RECOVERED,
-    UNPARSEABLE,
-    WELL_FORMED,
-    extract_mapping,
-    gate_by_food,
-)
+
+if TYPE_CHECKING:
+    from .evaluation import AccuracyReport
+    from .linker import HazardTable
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for `module.name` that imports the module on its first
+    call, looks the function up once and forwards every call to it. It never
+    rebinds its own global, so a wrapper put over it stays in place."""
+    target = None
+
+    def forward(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module, __package__), name)
+        return target(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+parse_chebi_source = _on_first_call(".lexicon", "parse_chebi_source")
+build_index = _on_first_call(".lexicon", "build_index")
+run_extraction = _on_first_call(".prompting", "run_extraction")
+extract_mapping = _on_first_call(".response_parser", "extract_mapping")
+gate_by_food = _on_first_call(".response_parser", "gate_by_food")
+link_candidate = _on_first_call(".linker", "link_candidate")
+aggregate = _on_first_call(".linker", "aggregate")
+emit_report = _on_first_call(".linker", "emit_report")
+load_gold = _on_first_call(".evaluation", "load_gold")
+score = _on_first_call(".evaluation", "score")
+compare_prompts = _on_first_call(".evaluation", "compare_prompts")
 
 log = logging.getLogger(__name__)
 
@@ -252,6 +260,8 @@ def _read_records(path: Path) -> list[AbstractRecord]:
 
 
 def _read_table(path: Path) -> HazardTable:
+    from .linker import HazardTable, LinkedHazard
+
     obj = _read_json(path)
     rows = tuple(
         LinkedHazard(**{**row, "supporting_dois": tuple(row["supporting_dois"])})
@@ -282,6 +292,8 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
         if not cfg.api_endpoint:
             log.info("fetch: no endpoint configured, adopting existing %s", out)
             return {"kept": len(_read_records(out)), "adopted": True}
+        from .epmc import FIRST_CURSOR, DecodeError, EuropePmcClient, FetchError
+
         raw_path = area / "raw_records.jsonl"
         state_path = area / "fetch_state.json"
         state_sig = _hash_obj(signature)
@@ -371,6 +383,8 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
 
 def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
     """Parse the names dump and serialize the surface index."""
+    from .lexicon import INDEX_VERSION, ParseStats, default_stoplist, load_stoplist
+
     area = cfg.workdir / "lexicon"
     out = area / "index.jsonl"
     report_path = area / "build_report.json"
@@ -427,6 +441,8 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
 
 
 def _make_backend(cfg: PipelineConfig):
+    from .prompting import HttpBackend, MockBackend
+
     if cfg.backend_kind == "mock":
         return MockBackend(cfg.fixtures_dir)
     return HttpBackend(cfg.backend_url, cfg.backend_model, use_messages=cfg.use_messages)
@@ -434,6 +450,8 @@ def _make_backend(cfg: PipelineConfig):
 
 def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
     """Prompt the backend for every filtered abstract not yet answered."""
+    from .prompting import DecodingParams, ResponseStore, load_template
+
     src = cfg.workdir / "abstracts" / f"filtered__{food_name}.jsonl"
     area = cfg.workdir / "responses"
     out = area / f"{_stem(food_name, style)}.jsonl"
@@ -493,6 +511,8 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
 
 def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
     """Parse responses, gate by food, link to identifiers, aggregate the table."""
+    from .lexicon import header_sha256
+
     food = cfg.food(food_name)
     stem = _stem(food_name, style)
     responses_path = cfg.workdir / "responses" / f"{stem}.jsonl"
@@ -509,6 +529,7 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
     def signature() -> dict:
         return {
             "responses_sha256": file_sha256(responses_path),
+            "filtered_sha256": file_sha256(filtered_path),
             # The header pins the body by its sha256; `load` checks the body.
             "index_header_sha256": header_sha256(index_path),
             "index_bytes": index_path.stat().st_size,
@@ -516,6 +537,10 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         }
 
     def work() -> dict:
+        from .lexicon import LexiconIndex
+        from .prompting import ResponseStore
+        from .response_parser import RECOVERED, UNPARSEABLE, WELL_FORMED
+
         records = {r.record_key: r for r in _read_records(filtered_path)}
         responses = ResponseStore(responses_path).load()
         index = LexiconIndex.load(index_path)
@@ -524,16 +549,18 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         mentions: list[tuple[str, AbstractRecord]] = []
         dropped_by_gating = missing_abstract = truncated = resolved = unresolved = 0
         for response in responses:
-            if response.truncated:
-                truncated += 1
-            candidate = extract_mapping(response)
-            candidates.append(candidate)
-            status_counts[candidate.parse_status] += 1
+            # The store keeps answers for abstracts that have left the corpus
+            # since; they are counted, and linked as a fresh run would: not at all.
             record = records.get(response.abstract_key)
             if record is None:
                 missing_abstract += 1
                 log.warning("link[%s]: response for unknown abstract %s", stem, response.abstract_key)
                 continue
+            if response.truncated:
+                truncated += 1
+            candidate = extract_mapping(response)
+            candidates.append(candidate)
+            status_counts[candidate.parse_status] += 1
             gated = gate_by_food(candidate, food)
             dropped_by_gating += len(candidate.food_terms) - len(gated.food_terms)
             outcome = link_candidate(gated, record, index)
@@ -625,6 +652,8 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
         }
 
     def work() -> dict:
+        from .evaluation import grid_rows, report_to_json_dict, select_prompt, write_grid_csv
+
         gold = load_gold(gold_path)
         reports = {}
         for s in styles_present:
@@ -643,7 +672,8 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
         write_grid_csv(grid_rows([report], _food_order(cfg, [report])), csv_path)
 
         # With tables for several styles on disk, also emit the side-by-side
-        # comparison picking the best style.
+        # comparison picking the best style, pooled over every cell and, as
+        # the paper picks its prompt, over the foods every style has.
         if len(reports) > 1:
             comparison = compare_prompts(reports)
             ordered = list(reports.values())
@@ -656,6 +686,7 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
                         name: {"correct": s.correct, "total": s.total, "ratio": s.ratio}
                         for name, s in comparison.summaries.items()
                     },
+                    **select_prompt(reports),
                 },
             )
         return {

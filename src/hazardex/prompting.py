@@ -15,12 +15,12 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .artifacts import cut_torn_tail, json_line, read_jsonl
+from .common import BackendError, PromptStyle, TemplateError
 from .corpus import AbstractRecord
 from .transport import Transport, Unreachable
 
@@ -30,12 +30,6 @@ PLACEHOLDER = "{ABSTRACT}"
 TEMPLATE_VERSION = "v1"
 
 _KEY_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]")
-
-
-class PromptStyle(str, Enum):
-    SIMPLE = "simple"
-    STEP_BY_STEP = "step_by_step"
-    PSEUDO_CODE = "pseudo_code"
 
 
 @dataclass(frozen=True)
@@ -61,14 +55,6 @@ class LlmResponse:
     truncated: bool
     latency_ms: float
     backend_name: str
-
-
-class TemplateError(Exception):
-    """A template asset is missing or violates the placeholder contract."""
-
-
-class BackendError(Exception):
-    """One completion failed; the batch carries on with the other abstracts."""
 
 
 def _packaged_templates_dir() -> Path:

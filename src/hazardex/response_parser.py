@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .corpus import FoodSpec
-from .prompting import LlmResponse, PromptStyle
+
+if TYPE_CHECKING:
+    from .common import PromptStyle
+    from .prompting import LlmResponse
 
 WELL_FORMED = "well_formed"
 RECOVERED = "recovered"

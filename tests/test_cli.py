@@ -514,11 +514,9 @@ class TestStageCommands:
 
     def test_lexicon_from_an_older_index_version_is_rebuilt(self, workspace, monkeypatch):
         import hazardex.lexicon
-        import hazardex.pipeline
 
         version = hazardex.lexicon.INDEX_VERSION
         monkeypatch.setattr(hazardex.lexicon, "INDEX_VERSION", version - 1)
-        monkeypatch.setattr(hazardex.pipeline, "INDEX_VERSION", version - 1)
         result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         assert result.exit_code == 0, result.output
         monkeypatch.undo()
@@ -816,6 +814,38 @@ class TestRunAll:
         ):
             assert token in result.output, token
 
+    def test_a_corpus_that_loses_an_abstract_relinks_as_a_fresh_run(self, tmp_path):
+        """The response store keeps d3's answer, so extract asks nothing new;
+        link must still notice the smaller corpus and leave d3 out."""
+
+        def drop_d3(ws):
+            path = ws["workdir"] / "abstracts" / "abstracts.jsonl"
+            lines = path.read_text("utf-8").splitlines(keepends=True)
+            kept = [line for line in lines if json.loads(line)["doi"] != "10.1000/d3"]
+            assert len(kept) == len(lines) - 1
+            path.write_text("".join(kept), encoding="utf-8")
+
+        def outputs(ws):
+            return {
+                p.relative_to(ws["workdir"]).as_posix(): p.read_bytes()
+                for area in ("candidates", "tables", "reports")
+                for p in (ws["workdir"] / area).iterdir()
+                if not p.name.endswith(".manifest.json")
+            }
+
+        rerun = make_workspace(tmp_path / "rerun")
+        assert invoke("--config", rerun["config"], "run-all", "--food", "dairy").exit_code == 0
+        drop_d3(rerun)
+        result = invoke("--config", rerun["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "new=0" in result.output and "missing_abstract=1" in result.output
+        assert "4/6 (66.7%)" in result.output
+        fresh = make_workspace(tmp_path / "fresh")
+        drop_d3(fresh)
+        assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
+        assert outputs(rerun) == outputs(fresh)
+        assert "CHEBI:27744" not in (rerun["workdir"] / "tables" / "dairy__step_by_step.json").read_text()
+
     def test_second_run_skips_every_stage_and_changes_nothing(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         reports_dir = workspace["workdir"] / "reports"
@@ -1031,11 +1061,14 @@ def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stu
     assert path.read_bytes() == previous
 
 
-def test_benchmark_spans_find_every_traced_name():
+def test_benchmark_spans_find_every_traced_name(workspace):
     """perfbench hooks these names by attribute, calls the stages as
     `in_process_pass` does and loads the index as `traced` does: a refactor
     that breaks one fails here rather than in the next traced benchmark run. The benchmark's files are read, not
-    imported, so nothing is written under perfbench/."""
+    imported, so nothing is written under perfbench/. Its tracer, installed
+    over a two-style `run-all`, records a span for every name the run calls
+    and its wrappers stay in place: a stand-in that rebound its own name
+    would record only its first call."""
     import ast
     import importlib
     import inspect
@@ -1072,17 +1105,73 @@ def test_benchmark_spans_find_every_traced_name():
     for call in loads:
         bind(LexiconIndex.load, call)
 
+    # Fetch adopts the corpus here, so it cleans and dedupes nothing, and
+    # `surfaces_for` has no caller in the package.
+    unreached = {"corpus.clean_record", "corpus.dedupe", "lexicon.surfaces_for"}
+    write_mock_fixtures(workspace["root"] / "fixtures", PromptStyle.SIMPLE)
+    tracer = spans["Tracer"]()
+    tracer.install()
+    try:
+        installed = {(m, a): vars(importlib.import_module(m))[a] for m, a, *_ in spans["_FUNCTIONS"]}
+        for style in ("step_by_step", "simple"):
+            result = invoke("--config", workspace["config"], "run-all", "--food", "dairy", "--style", style)
+            assert result.exit_code == 0, result.output
+        assert {(m, a): vars(importlib.import_module(m))[a] for m, a in installed} == installed
+    finally:
+        tracer.uninstall()
+    recorded = {span[1] for span in tracer.spans}
+    assert {name for _, _, name, _ in spans["_FUNCTIONS"]} - recorded == unreached
 
-def test_importing_the_cli_leaves_requests_unloaded():
+
+def _loaded_after(code: str, *args) -> list[str]:
+    """The lines `code` prints, run in a fresh interpreter on this package."""
     import hazardex
 
     src = str(Path(hazardex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, env=env, check=True)
+    return done.stdout.splitlines()
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
     code = ("import sys, hazardex.cli; print(sorted({'requests', 'urllib3', 'urllib.request', "
             "'http.client'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _loaded_after(code) == ["[]"]
+
+
+# The modules a command loads only when its stage needs them.
+_STAGE_MODULES = ("lexicon", "prompting", "response_parser", "linker", "evaluation", "epmc", "transport")
+
+
+def _stage_modules_loaded(prelude: str, *args) -> list[str]:
+    code = (f"import sys; {prelude}; "
+            f"print(sorted(m for m in {_STAGE_MODULES!r} if 'hazardex.' + m in sys.modules))")
+    return _loaded_after(code, *args)
+
+
+def test_importing_the_cli_loads_no_stage_module():
+    assert _stage_modules_loaded("import hazardex.cli") == ["[]"]
+
+
+def test_an_up_to_date_command_loads_only_what_its_freshness_check_needs(workspace):
+    result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+    assert result.exit_code == 0, result.output
+    run = ("from hazardex import cli; "
+           "cli.main(['--config', sys.argv[1], *sys.argv[2:]], standalone_mode=False)")
+    expected = {
+        ("fetch",): [],
+        ("build-lexicon",): ["lexicon"],
+        ("filter", "--food", "dairy"): [],
+        ("extract", "--food", "dairy"): ["prompting", "transport"],
+        ("link", "--food", "dairy"): ["lexicon"],
+        ("report", "--food", "dairy"): [],
+        ("evaluate",): [],
+    }
+    for argv, modules in expected.items():
+        # `evaluate` prints its grid first.
+        lines = _stage_modules_loaded(run, workspace["config"], *argv)[-2:]
+        assert lines == [f"{argv[0]}: up to date", str(modules)], argv
 
 
 def test_fetch_and_extract_over_http_in_a_process_that_cannot_import_requests(
@@ -1164,6 +1253,37 @@ class TestEvaluateCommand:
         assert "dairy" in header
         row = next(l for l in lines if l.startswith("step_by_step"))
         assert "5/7 (71.4%)" in row
+
+    def test_the_comparison_selects_on_the_shared_foods_and_reports_the_test_mean(self, workspace):
+        """Over the paper's nine cells, step_by_step wins on the two foods every
+        style was judged on, and its mean over its other three is 93.2%."""
+        from reference_figures import REFERENCE_ACCURACY, VALIDATION_FOODS, build_tables_and_gold
+
+        tables_area = workspace["workdir"] / "tables"
+        tables_area.mkdir()
+        gold_lines = ["food,chebi_id,verdict"]
+        styles = sorted({style for style, _ in REFERENCE_ACCURACY})
+        for n, style in enumerate(styles):
+            # Each style's rows get their own identifiers, so one gold file judges them all.
+            renumber = {f"CHEBI:{i}": f"CHEBI:{n * 1000 + i}" for i in range(1, 1000)}
+            tables, gold = build_tables_and_gold(style)
+            for table in tables:
+                rows = [{**vars(row), "chebi_id": renumber[row.chebi_id]} for row in table.rows]
+                (tables_area / f"{table.food}__{style}.json").write_text(
+                    json.dumps({"style": style, "food": table.food, "rows": rows}), encoding="utf-8")
+            gold_lines += [f"{g.food},{renumber[g.chebi_id]},{g.verdict}" for g in gold]
+        gold_path = workspace["root"] / "reference_gold.csv"
+        gold_path.write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+
+        result = invoke("--config", workspace["config"], "evaluate", "--gold", gold_path)
+        assert result.exit_code == 0, result.output
+        comparison = json.loads((workspace["workdir"] / "reports" / "comparison.json").read_text())
+        assert comparison["best"] == ["step_by_step"]
+        assert sorted(comparison["styles"]) == styles
+        assert comparison["selection_foods"] == sorted(VALIDATION_FOODS)
+        assert comparison["selected"] == "step_by_step"
+        assert comparison["test_foods"] == ["dairy", "maize", "salmon"]
+        assert comparison["test_mean_percent"] == 93.2
 
     def test_gold_option_overrides_the_config(self, workspace, tmp_path):
         ws = self.prepared(workspace)

@@ -21,6 +21,7 @@ from hazardex.evaluation import (
     percent_display,
     report_to_json_dict,
     score,
+    select_prompt,
     write_grid_csv,
 )
 from hazardex.linker import HazardTable, LinkedHazard
@@ -263,6 +264,20 @@ class TestComparePrompts:
         one = report_from_cells("one", {"a": (3, 4)})
         two = report_from_cells("two", {"b": (3, 4)})
         assert compare_prompts([one, two]).best == ("one", "two")
+
+    def test_selection_uses_only_the_shared_foods(self):
+        # Pooled over every cell "wide" wins; on the one food both have, "narrow" does.
+        wide = report_from_cells("wide", {"a": (5, 10), "b": (10, 10), "c": (9, 10)})
+        narrow = report_from_cells("narrow", {"a": (6, 10)})
+        assert compare_prompts([wide, narrow]).best == ("wide",)
+        assert select_prompt({"wide": wide, "narrow": narrow}) == {
+            "selection_foods": ["a"], "selected": "narrow", "test_foods": [], "test_mean_percent": None}
+        tied = report_from_cells("tied", {"a": (5, 10), "d": (1, 1)})
+        assert select_prompt({"wide": wide, "tied": tied}) == {
+            "selection_foods": ["a"], "selected": None, "test_foods": [], "test_mean_percent": None}
+        assert select_prompt({"wide": wide})["test_mean_percent"] is None
+        assert select_prompt({"wide": wide, "other": report_from_cells("other", {"b": (1, 2)})}) == {
+            "selection_foods": ["b"], "selected": "wide", "test_foods": ["a", "c"], "test_mean_percent": 70.0}
 
     def test_no_reports_no_best(self):
         comparison = compare_prompts([])

@@ -30,6 +30,7 @@ from oracles import (
     random_surface_name,
 )
 from hazardex import lexicon
+from hazardex.artifacts import file_sha256
 from hazardex.lexicon import (
     INDEX_VERSION,
     IndexFormatError,
@@ -44,7 +45,6 @@ from hazardex.lexicon import (
     chebi_numeric,
     default_stoplist,
     expand_numeric_variants,
-    file_sha256,
     is_chebi_id,
     load_stoplist,
     normalize,

@@ -13,9 +13,9 @@ holds. All data goes to files under the workdir, written through
 `artifacts`; a `.lock` file keeps concurrent runs off the same workdir.
 
 Each CLI command runs one stage in a fresh interpreter, so this module loads
-no stage module when imported: a stage imports what it uses when it runs,
-and what only its `work()` uses inside `work()`, so a stage found up to date
-loads only what its signature reads. The stage functions that
+no stage module when imported: a stage imports the modules it uses when it
+runs, and a module that only its `work()` uses inside `work()`, so a stage
+found up to date loads only what its signature reads. The stage functions that
 `perfbench/spans.py` times by rebinding them in this module's namespace
 (`build_index`, `link_candidate`, …) stay module-level names, bound to
 stand-ins by `_on_first_call`: a local import would bypass the timing
@@ -511,7 +511,7 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
 
 def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
     """Parse responses, gate by food, link to identifiers, aggregate the table."""
-    from .lexicon import header_sha256
+    from .lexicon import LexiconIndex, header_sha256
 
     food = cfg.food(food_name)
     stem = _stem(food_name, style)
@@ -537,7 +537,6 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         }
 
     def work() -> dict:
-        from .lexicon import LexiconIndex
         from .prompting import ResponseStore
         from .response_parser import RECOVERED, UNPARSEABLE, WELL_FORMED
 

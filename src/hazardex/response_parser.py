@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .corpus import FoodSpec
-
-if TYPE_CHECKING:
-    from .common import PromptStyle
-    from .prompting import LlmResponse
+from .prompting import LlmResponse, PromptStyle
 
 WELL_FORMED = "well_formed"
 RECOVERED = "recovered"

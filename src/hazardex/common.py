@@ -1,10 +1,12 @@
 """Names the command line needs before any stage runs: the prompt styles its
-options offer and the errors it reports as exit 2.
+options offer and the errors it reports as exit 2; and the ChEBI identifier
+check that both `lexicon` and `evaluation` use.
 
 They live here, apart from the modules that raise them, so that importing
-the CLI loads no stage module; `lexicon`, `prompting` and `evaluation`
-import them from here, and each name still resolves from its old module.
-This module imports no other hazardex module.
+the CLI loads no stage module and `evaluate` does not load `lexicon`;
+`lexicon`, `prompting` and `evaluation` import them from here, and each name
+still resolves from its old module. This module imports no other hazardex
+module.
 """
 
 from __future__ import annotations
@@ -36,3 +38,8 @@ class BackendError(Exception):
 
 class GoldFormatError(Exception):
     """The gold CSV is malformed; the message names the offending row."""
+
+
+def is_chebi_id(value: str) -> bool:
+    # `isdecimal` is the regex `\d`: any Unicode decimal digit, which `int` reads.
+    return value.startswith("CHEBI:") and value[6:].isdecimal()

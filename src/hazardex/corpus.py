@@ -7,6 +7,7 @@ single-line plain-text form produced here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html
 import re
@@ -235,13 +236,28 @@ def dedupe(records: Iterable[AbstractRecord]) -> Iterator[AbstractRecord]:
         yield rec
 
 
-def matches_food(record: AbstractRecord, food: FoodSpec) -> bool:
-    text = record.abstract_text.casefold()
-    return any(kw.casefold() in text for kw in food.keywords)
+def names_food(text: str, food: FoodSpec) -> bool:
+    """Whether `text` holds one of the food's keywords as a whole word, with
+    any case, bare or with a plural ending: "s", "es", or "ies" in place of
+    a final "y". So "salmon" is not found in "Salmonella", nor "corn" in
+    "popcorn"."""
+    return food_pattern(food).search(text.casefold()) is not None
+
+
+@functools.lru_cache(maxsize=16)
+def food_pattern(food: FoodSpec) -> re.Pattern[str]:
+    """What `names_food` searches casefolded text for. The stages that match
+    foods sign its text, so a change of keywords or of the rule reruns them."""
+    forms = []
+    for keyword in sorted(kw.casefold() for kw in food.keywords):
+        forms.append(re.escape(keyword) + "(?:e?s)?")
+        if keyword.endswith("y"):
+            forms.append(re.escape(keyword[:-1]) + "ies")
+    return re.compile(rf"(?<!\w)(?:{'|'.join(forms)})(?!\w)")
 
 
 def filter_by_food(records: Iterable[AbstractRecord], food: FoodSpec) -> Iterator[AbstractRecord]:
-    """Yield records whose abstract text mentions any of the food's keywords."""
+    """Yield records whose abstract text names the food (`names_food`)."""
     for rec in records:
-        if matches_food(rec, food):
+        if names_food(rec.abstract_text, food):
             yield rec

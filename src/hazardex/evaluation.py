@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .artifacts import atomic_open
-from .common import GoldFormatError
-from .lexicon import is_chebi_id
+from .common import GoldFormatError, is_chebi_id
 
 if TYPE_CHECKING:
     from .linker import HazardTable

@@ -25,28 +25,35 @@ name that can spell it. Every ending a plural adds or replaces is made of
 "s", "e", "i" and "y", so the keys of two names that share a surface agree
 once a final run of those letters is stripped. That stripped key is the
 name's spelling group, and no surface is claimed across two groups. The
-build never holds a map of every surface. It counts each name's own
-surfaces as it reads the dump; a name alone in its group, as nearly every
-name is, keeps that count, and the names of a larger group are claimed
-together, in dump order. A surface goes to its smallest `(rank, numeric
-id)` claimant, which does not depend on the order of the names; the
-collision count does.
+build never holds a map of every surface. As it reads the dump it counts
+each name's own surfaces and notes a hash of its spelling group; sorting
+the hashes then finds the groups of two or more names. A name alone in its
+group, as nearly every name is, keeps its count, and the names of a larger
+group are claimed together, in dump order. A surface goes to its smallest
+`(rank, numeric id)` claimant, which does not depend on the order of the
+names; the collision count does.
 
-Names with a digit run make most of the surfaces. Each time 8,192 of them
-have piled up, that batch is counted in a `fork` worker pool of one fewer
-process than the usable CPUs, made when the first batch fills, while the
-parent reads on; the parent counts the names without one, the last partial
-batch, and every batch when it has no spare CPU. A small dump never fills a
-batch and builds in one process. A count does not depend on the process
-that makes it, so the saved index does not depend on the CPU count.
+A count is worked out, not made: the separator variants of a spelling are
+all distinct, those of its swapped number are others, a plural doubles
+them, and a stoplist entry without a digit removes no surface of a name
+with one (`_surface_count`); only a stoplist with a digit in an entry has
+such names' surfaces made. Names with a digit run make most of the
+surfaces. Each time 8,192 of them have piled up, that batch is counted in a
+`fork` worker pool of one fewer process than the usable CPUs, made when the
+first batch fills, while the parent reads on; the parent counts the names
+without one, the last partial batch, and every batch when it has no spare
+CPU. A small dump never fills a batch and builds in one process. A count
+does not depend on the process that makes it, so the saved index does not
+depend on the CPU count.
 
 `LexiconIndex.load` checks the header and the body against their checksums,
 so a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
 The first `lookup` of a surface binary-searches the sorted records for its
-candidate keys, computing the key of each name it probes, claims the names
-it finds and keeps only that surface's owner; a preferred name is
-binary-searched among the identifier lines. A built index makes its
-surface map from its records on its first `lookup`.
+candidate keys, computing the key of each name it probes (its letters
+first, its digits only when the letters tie), claims the names it finds
+and keeps only that surface's owner; a preferred name is binary-searched
+among the identifier lines. A built index makes its surface map from its
+records on its first `lookup`.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .artifacts import atomic_open
-from .common import IndexFormatError, LexiconSourceError
+from .common import IndexFormatError, LexiconSourceError, is_chebi_id
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +101,6 @@ _SWAP_MAX_TOKENS = 4
 
 _VOWELS = frozenset("aeiou")
 _ES_SUFFIXES = ("s", "x", "z", "ch", "sh")
-
-
-def is_chebi_id(value: str) -> bool:
-    # `isdecimal` is the regex `\d`: any Unicode decimal digit, which `int` reads.
-    return value.startswith("CHEBI:") and value[6:].isdecimal()
 
 
 def chebi_numeric(chebi_id: str) -> int:
@@ -167,14 +169,22 @@ def expand_numeric_variants(name: str) -> set[str]:
     digit_runs = _DIGITS_RE.findall(name)
     if not digit_runs:
         return {name}
-    capped = len(digit_runs) == 1 and len(name.split()) <= _SWAP_MAX_TOKENS
+    capped = _capped(name, digit_runs)
     out = _assignments(name, cross_product=capped)
-    if capped:
-        m = _WORD_DIGITS_RE.search(name) or _DIGITS_WORD_RE.search(name)
-        if m is not None:
-            swapped = name[: m.start()] + m[2] + m[1] + name[m.end() :]
-            out |= _assignments(swapped, cross_product=True)
+    if capped and (swapped := _swapped(name)) is not None:
+        out |= _assignments(swapped, cross_product=True)
     return out
+
+
+def _capped(name: str, digit_runs: list[str]) -> bool:
+    """Whether a name gets every separator combination and the swapped number."""
+    return len(digit_runs) == 1 and len(name.split()) <= _SWAP_MAX_TOKENS
+
+
+def _swapped(name: str) -> str | None:
+    """`name` with its number moved to the other side of its word, if one touches it."""
+    m = _WORD_DIGITS_RE.search(name) or _DIGITS_WORD_RE.search(name)
+    return None if m is None else name[: m.start()] + m[2] + m[1] + name[m.end() :]
 
 
 def pluralize(name: str) -> set[str]:
@@ -238,22 +248,26 @@ def parse_chebi_source(
                 f"{path}: header must name COMPOUND_ID, TYPE and NAME, got {header!r}"
             ) from exc
         needed = max(id_col, type_col, name_col)
+        raw_id = chebi_id = None
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\r\n").split("\t")
             if len(parts) <= needed:
                 _skip_row(path, lineno, "too few columns", stats)
                 continue
-            compound_id = parts[id_col].strip()
-            if compound_id.upper().startswith("CHEBI:"):
-                compound_id = compound_id[6:]
+            if parts[id_col] != raw_id:  # a dump lists an id's names together
+                raw_id = parts[id_col]
+                compound_id = raw_id.strip()
+                if compound_id.upper().startswith("CHEBI:"):
+                    compound_id = compound_id[6:]
+                chebi_id = f"CHEBI:{int(compound_id)}" if compound_id.isdecimal() else None
             name = parts[name_col].strip()
-            if not compound_id.isdecimal() or not name:
+            if chebi_id is None or not name:
                 _skip_row(path, lineno, "missing id or name", stats)
                 continue
             if stats is not None:
                 stats.rows += 1
             name_type = parts[type_col].strip().upper() or "SYNONYM"
-            yield (f"CHEBI:{int(compound_id)}", name, name_type)
+            yield (chebi_id, name, name_type)
 
 
 def _skip_row(path: Path, lineno: int, why: str, stats: ParseStats | None) -> None:
@@ -336,31 +350,28 @@ class LexiconIndex:
             f"{chebi_id[6:]}\t{encode(self._id_to_name[chebi_id])}"
             for chebi_id in sorted(self._id_to_name, key=chebi_numeric)
         ))
-
-        def body() -> Iterator[bytes]:
-            # The records are cut and encoded twice, for the checksum and for
-            # the file, rather than held a second time: cutting them in place
-            # raised build-lexicon's peak by 7 MB on a 195k-name dump.
-            yield from _encoded(record.split("\t", 2)[2] for record in self._records)
-            yield b"\n"
-            yield names
-
-        digest = hashlib.sha256()
-        for chunk in body():
-            digest.update(chunk)
         header = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "source_sha256": self.source_checksum,
             **vars(self.stats),
             "stoplist": sorted(self._stoplist),
-            "body_sha256": digest.hexdigest(),
+            "body_sha256": _UNKNOWN_SHA256,
         }
-        header["header_sha256"] = _fields_sha256(header)
+        digest = hashlib.sha256()
         with atomic_open(path, "wb") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.writelines(body())
+            # The body is hashed as it is written, one chunk of records at a
+            # time, so the header goes first with stand-in digests and is
+            # written again over them: a digest is 64 hex digits either way.
+            fh.write(_header_line({**header, "header_sha256": _UNKNOWN_SHA256}))
+            records = _encoded(record.split("\t", 2)[2] for record in self._records)
+            for chunk in itertools.chain(records, (b"\n", names)):
+                digest.update(chunk)
+                fh.write(chunk)
+            header["body_sha256"] = digest.hexdigest()
+            header["header_sha256"] = _fields_sha256(header)
+            fh.seek(0)
+            fh.write(_header_line(header))
 
     @classmethod
     def load(cls, path: str | Path) -> "LexiconIndex":
@@ -415,7 +426,8 @@ def _spelling_records(blob: bytes, lo: int, hi: int, surface: str) -> Iterator[t
     can spell `surface`. The records are sorted by the spelling key of their
     name first, so each key's records are one run of lines."""
     for key in _candidate_keys(surface):
-        pos = _bisect_lines(blob, lo, hi, lambda line: _line_key(line) < key)
+        letters, _, digits = key.partition("\t")
+        pos = _bisect_lines(blob, lo, hi, lambda line: _line_before(line, letters, digits))
         while pos < hi:
             end = blob.index(b"\n", pos)
             record = _parse_record(blob[pos:end].decode("utf-8"))
@@ -425,8 +437,16 @@ def _spelling_records(blob: bytes, lo: int, hi: int, surface: str) -> Iterator[t
             pos = end + 1
 
 
-def _line_key(line: bytes) -> str:
-    return _spelling_key(line[: line.index(b"\t")].decode("utf-8"))
+def _line_before(line: bytes, letters: str, digits: str) -> bool:
+    """Whether the name leading a record line has a spelling key below
+    `letters` and `digits`. A tab sorts before every character a key holds,
+    so keys sort as `(letters, digits)`: the digit runs are only found when
+    the letters tie."""
+    name = line[: line.index(b"\t")].decode("utf-8")
+    name_letters = _NON_LETTERS_RE.sub("", name)
+    if name_letters != letters:
+        return name_letters < letters
+    return ",".join(_DIGITS_RE.findall(name)) < digits
 
 
 def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
@@ -466,6 +486,13 @@ def _preferred(blob: bytes, ids_start: int, chebi_id: str) -> str | None:
 
 def _line_numeric(line: bytes) -> int:
     return int(line[: line.index(b"\t")])
+
+
+_UNKNOWN_SHA256 = "0" * 64
+
+
+def _header_line(header: dict) -> bytes:
+    return json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def _fields_sha256(fields: dict) -> str:
@@ -536,16 +563,64 @@ def _claim(
     return claims, collisions
 
 
-def _group(record: str) -> str:
-    """The spelling group of a record: its key letters without a final run of
-    "s", "e", "i" and "y", the letters of every plural ending, then its key
-    digits. Two names that share a surface share a group."""
-    letters, digits, _ = record.split("\t", 2)
-    return f"{letters.rstrip('seiy')}\t{digits}"
+def _surface_count(normalized: str, stoplist: frozenset[str]) -> int:
+    """`len(_own_surfaces(normalized, stoplist))`, mostly without making them.
+
+    Let k(s) be the number of slots in a spelling s, and p(s) 2 when s has a
+    plural and 1 otherwise. A name that gets every separator combination
+    has 3**k(name) * p(name) surfaces, plus 3**k(swapped) * p(swapped) when
+    its number can be swapped; any other name with a digit run has
+    (1 + 2*k(name)) * p(name). The formula is exact because:
+
+    - each slot is followed by a letter or a digit, so different separator
+      choices give different strings;
+    - the swap moves the digit run past at least one letter, and separators
+      move no letter past a digit, so no variant of the swapped spelling is
+      a variant of the name;
+    - the variants of one spelling share its last literal part, so either
+      every variant has a plural or none has;
+    - a plural changes the letters, so it never equals a variant or the
+      plural of another variant;
+    - every surface of a name with a digit run holds its digits, so a
+      stoplist with no digit in any entry removes none of them.
+
+    A stoplist entry with a digit in it may remove a surface, so under such
+    a stoplist the surfaces are made and counted.
+    """
+    digit_runs = _DIGITS_RE.findall(normalized)
+    if not digit_runs:
+        return _plain_count(normalized, stoplist)
+    if _holds_digits(stoplist):
+        return len(_own_surfaces(normalized, stoplist))
+    slots = len(_SLOT_RE.findall(normalized))
+    if not _capped(normalized, digit_runs):
+        return (1 + 2 * slots) * _forms(normalized)
+    count = 3**slots * _forms(normalized)
+    swapped = _swapped(normalized)
+    if swapped is not None:
+        count += 3 ** len(_SLOT_RE.findall(swapped)) * _forms(swapped)
+    return count
+
+
+def _plain_count(normalized: str, stoplist: frozenset[str]) -> int:
+    """The surfaces of a name without a digit run: itself and its plural."""
+    plural = _plural(normalized)
+    return (normalized not in stoplist and normalized != "") + (
+        plural is not None and plural not in stoplist)
+
+
+def _forms(spelling: str) -> int:
+    """2 when the spelling has a plural, else 1."""
+    return 1 if _plural(spelling) is None else 2
+
+
+@functools.lru_cache(maxsize=4)
+def _holds_digits(stoplist: frozenset[str]) -> bool:
+    return any(_DIGITS_RE.search(entry) for entry in stoplist)
 
 
 def _count_batch(names: list[str], stoplist: frozenset[str]) -> array:
-    return array("I", [len(_own_surfaces(name, stoplist)) for name in names])
+    return array("I", [_surface_count(name, stoplist) for name in names])
 
 
 def _spare_cpus() -> int:
@@ -559,6 +634,8 @@ def _spare_cpus() -> int:
 
 # Names with a digit run are counted this many at a time.
 _BATCH = 8192
+# The largest numeric id the build keeps in its 64-bit id array.
+_MAX_NUMERIC = 2**63 - 1
 
 
 class _SurfaceCounts:
@@ -567,11 +644,12 @@ class _SurfaceCounts:
 
     A name without a digit run has at most two surfaces, itself and its
     plural, and is counted at once. The names with one, which make most of
-    the surfaces, are counted in batches of `_BATCH`: a full batch goes to a
-    `fork` pool of `_spare_cpus()` workers, made when the first batch fills;
-    the last, partial batch, and every batch when there is no spare CPU, is
-    counted here. A count does not depend on the process that made it. Leaving
-    the `with` block ends the workers; an error in one is raised by `counts`.
+    the surfaces, are counted by `_surface_count` in batches of `_BATCH`: a
+    full batch goes to a `fork` pool of `_spare_cpus()` workers, made when
+    the first batch fills; the last, partial batch, and every batch when
+    there is no spare CPU, is counted here. A count does not depend on the
+    process that made it. Leaving the `with` block ends the workers; an
+    error in one is raised by `counts`.
     """
 
     def __init__(self, stoplist: frozenset[str]):
@@ -593,11 +671,7 @@ class _SurfaceCounts:
 
     def add(self, normalized: str, has_digits: bool) -> None:
         if not has_digits:
-            plural = _plural(normalized)
-            self._counts.append(
-                (normalized not in self._stoplist and normalized != "")
-                + (plural is not None and plural not in self._stoplist)
-            )
+            self._counts.append(_plain_count(normalized, self._stoplist))
             return
         self._slots.append(len(self._counts))
         self._counts.append(0)
@@ -633,32 +707,34 @@ class _SurfaceCounts:
             self._counts[slot] = count
 
 
-def _tally(records: list[str], counts: array, stoplist: frozenset[str]) -> tuple[int, int, set[int]]:
+def _tally(
+    records: list[str], counts: array, groups: array, numerics: array, stoplist: frozenset[str]
+) -> tuple[int, int, set[int]]:
     """The surface count, the collisions and the numeric ids that own a
-    surface, for `records` whose names have `counts` surfaces on their own.
+    surface, for `records` whose names have `counts` surfaces on their own,
+    whose spelling groups hash to `groups` and whose ids are `numerics`.
 
-    A name alone in its spelling group keeps its surfaces; a larger group is
-    claimed with `_claim`, in the order of `records`. The groups are found by
-    sorting the positions on a 30-bit hash of their group, packed above the
-    position in one small int. Groups whose hashes agree are claimed
-    together, which gives what claiming each apart gives: no surface is
-    shared across groups.
+    A name whose group hash no other name has keeps its surfaces. The hashes
+    two or more names share are found by sorting a copy; the names of each
+    are claimed with `_claim`, in the order of `records`, and their `counts`
+    are set to 0. Groups whose hashes agree are claimed together, which
+    gives what claiming each apart gives: no surface is shared across groups.
     """
-    shift = len(records).bit_length()
-    position = (1 << shift) - 1
-    keys = sorted((hash(_group(r)) & 0x3FFFFFFF) << shift | i for i, r in enumerate(records))
-    surface_count = collisions = 0
-    owners: set[int] = set()
-    for _, run in itertools.groupby(keys, key=lambda key: key >> shift):
-        group = [key & position for key in run]
-        if len(group) > 1:
-            claims, clashes = _claim((_parse_record(records[i]) for i in group), stoplist)
-            surface_count += len(claims)
-            collisions += clashes
-            owners.update(claim[1] for claim in claims.values())
-        elif counts[group[0]]:
-            surface_count += counts[group[0]]
-            owners.add(int(records[group[0]].rsplit("\t", 2)[1]))
+    ordered = sorted(groups)
+    shared = {group for group, after in zip(ordered, itertools.islice(ordered, 1, None))
+              if group == after}
+    del ordered
+    members: dict[int, list[int]] = {}
+    for i in [i for i, group in enumerate(groups) if group in shared]:
+        members.setdefault(groups[i], []).append(i)
+        counts[i] = 0  # its group is claimed below
+    surface_count, collisions = sum(counts), 0
+    owners = set(itertools.compress(numerics, counts))
+    for group in members.values():
+        claims, clashes = _claim((_parse_record(records[i]) for i in group), stoplist)
+        surface_count += len(claims)
+        collisions += clashes
+        owners.update(claim[1] for claim in claims.values())
     return surface_count, collisions, owners
 
 
@@ -686,6 +762,10 @@ def build_index(
     # An id's preferred name is its first NAME row's, else its first synonym's.
     names: dict[int, str] = {}
     synonyms: dict[int, str] = {}
+    # Each record's spelling group, hashed, and its numeric id. A 32-bit hash
+    # lets a few groups share one, which claims them together and so changes
+    # nothing; it keeps the array, and the ints `_tally` sorts, small.
+    groups, numerics = array("I"), array("q")
     last_id = None
     with _SurfaceCounts(stoplist) as counter:
         for chebi_id, name, name_type in rows:
@@ -694,18 +774,28 @@ def build_index(
                 continue
             rank = 0 if name_type == "NAME" else 1
             if chebi_id != last_id:  # a dump lists an id's names together
-                numeric, last_id = chebi_numeric(chebi_id), chebi_id
+                numeric, last_id = int(chebi_id[6:]), chebi_id
+                if numeric > _MAX_NUMERIC:
+                    raise LexiconSourceError(f"{chebi_id}: identifier too large to index")
             if rank == 0:
                 names.setdefault(numeric, name)
             elif numeric not in names:
                 synonyms.setdefault(numeric, name)
-            key = _spelling_key(normalized)
+            if normalized.isalpha():  # the name is its own letters, with no digit
+                letters, digits = normalized, ""
+            else:
+                letters = _NON_LETTERS_RE.sub("", normalized)
+                digits = ",".join(_DIGITS_RE.findall(normalized))
             # `normalize` folds all whitespace, so a name holds no tab or newline.
-            records.append(f"{key}\t{normalized}\t{numeric}\t{rank}")
-            counter.add(normalized, not key.endswith("\t"))
+            records.append(f"{letters}\t{digits}\t{normalized}\t{numeric}\t{rank}")
+            # Every ending a plural adds or replaces is made of these letters.
+            groups.append(hash((letters.rstrip("seiy"), digits)) & 0xFFFFFFFF)
+            numerics.append(numeric)
+            counter.add(normalized, digits != "")
         counts = counter.counts()
     # In dump order within each group: the collision count depends on it.
-    surface_count, collisions, owners = _tally(records, counts, stoplist)
+    surface_count, collisions, owners = _tally(records, counts, groups, numerics, stoplist)
+    del counts, groups, numerics  # freed before the sort and the name map below
     if not surface_count:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
     # Sorting as text sorts by spelling key first, since the tab that ends a

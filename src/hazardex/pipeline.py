@@ -53,6 +53,7 @@ from .corpus import (
     clean_record,
     dedupe,
     filter_by_food,
+    food_pattern,
 )
 
 if TYPE_CHECKING:
@@ -434,7 +435,7 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
         return {"input": len(records), "matched": len(kept)}
 
     def signature() -> dict:
-        return {"abstracts_sha256": file_sha256(src), "keywords": sorted(food.keywords)}
+        return {"abstracts_sha256": file_sha256(src), "food_pattern": food_pattern(food).pattern}
 
     manifest = area / f"filter__{food_name}.manifest.json"
     return _stage("filter", manifest, [(src, "run fetch first")], signature, [out], work)
@@ -533,7 +534,7 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
             # The header pins the body by its sha256; `load` checks the body.
             "index_header_sha256": header_sha256(index_path),
             "index_bytes": index_path.stat().st_size,
-            "keywords": sorted(food.keywords),
+            "food_pattern": food_pattern(food).pattern,
         }
 
     def work() -> dict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .corpus import FoodSpec
+from .corpus import FoodSpec, names_food
 from .prompting import LlmResponse, PromptStyle
 
 WELL_FORMED = "well_formed"
@@ -310,12 +310,11 @@ def extract_mapping(response: LlmResponse) -> ExtractionCandidate:
 
 
 def gate_by_food(candidate: ExtractionCandidate, food: FoodSpec) -> ExtractionCandidate:
-    """Keep only food keys naming the target food (case-insensitive substring)."""
-    keywords = [kw.casefold() for kw in food.keywords]
+    """Keep only food keys naming the target food (`corpus.names_food`)."""
     kept = {
         key: list(hazards)
         for key, hazards in candidate.food_terms.items()
-        if any(kw in key.casefold() for kw in keywords)
+        if names_food(key, food)
     }
     return replace(candidate, food_terms=kept)
 

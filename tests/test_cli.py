@@ -466,21 +466,21 @@ class TestStageCommands:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(lexicon, "_BATCH", 1)
-        parent, real = os.getpid(), lexicon._own_surfaces
+        parent, real = os.getpid(), lexicon._surface_count
 
-        def own_surfaces(normalized, stoplist):
+        def surface_count(normalized, stoplist):
             if os.getpid() != parent:
                 raise ValueError("worker failed")
             return real(normalized, stoplist)
 
-        monkeypatch.setattr(lexicon, "_own_surfaces", own_surfaces)
+        monkeypatch.setattr(lexicon, "_surface_count", surface_count)
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert result.exit_code == 2
         assert result.stderr == "error: ValueError: worker failed\n"
         assert multiprocessing.active_children() == []
         assert not (workspace["workdir"] / "lexicon" / "index.jsonl").exists()
 
-        monkeypatch.setattr(lexicon, "_own_surfaces", real)
+        monkeypatch.setattr(lexicon, "_surface_count", real)
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert result.exit_code == 0, result.output
         assert multiprocessing.active_children() == []
@@ -555,6 +555,23 @@ class TestStageCommands:
         result = invoke("--config", workspace["config"], "link", "--food", "dairy")
         assert result.exit_code == 0, result.output
         assert "link: up to date" in result.output
+
+    def test_a_workdir_filtered_by_substring_is_filtered_and_linked_again(self, workspace):
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        # What the substring rule left: manifests that signed the keyword list.
+        workdir = workspace["workdir"]
+        for path in [workdir / "abstracts" / "filter__dairy.manifest.json",
+                     *(workdir / "candidates").glob("link__dairy__*.manifest.json")]:
+            manifest = json.loads(path.read_text("utf-8"))
+            del manifest["input_hashes"]["food_pattern"]
+            manifest["input_hashes"]["keywords"] = ["dairy"]
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "build-lexicon: up to date" in result.output
+        assert "filter: up to date" not in result.output
+        assert "link: up to date" not in result.output
 
     def test_truncated_index_is_a_configuration_error(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
@@ -1172,6 +1189,20 @@ def test_an_up_to_date_command_loads_only_what_its_freshness_check_needs(workspa
         # `evaluate` prints its grid first.
         lines = _stage_modules_loaded(run, workspace["config"], *argv)[-2:]
         assert lines == [f"{argv[0]}: up to date", str(modules)], argv
+
+
+def test_an_evaluate_that_does_work_loads_only_evaluation_and_linker(workspace):
+    result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+    assert result.exit_code == 0, result.output
+    manifests = list((workspace["workdir"] / "reports").glob("evaluate__*.manifest.json"))
+    assert manifests
+    for manifest in manifests:
+        manifest.unlink()
+    run = ("from hazardex import cli; "
+           "cli.main(['--config', sys.argv[1], 'evaluate'], standalone_mode=False)")
+    lines = _stage_modules_loaded(run, workspace["config"])
+    assert "evaluate: up to date" not in lines
+    assert lines[-1] == str(["evaluation", "linker"])
 
 
 def test_fetch_and_extract_over_http_in_a_process_that_cannot_import_requests(

@@ -226,6 +226,31 @@ class TestFilterByFood:
         rec = record_with_abstract("Paddy fields were irrigated weekly.")
         assert list(filter_by_food([rec], spec)) == [rec]
 
+    @pytest.mark.parametrize("food,text", [
+        ("salmon", "Salmonella counts rose in stored eggs."),
+        ("maize", "Samples of popcorn sold at cinemas were tested."),
+        ("maize", "Acorn flour from local mills was tested."),
+        ("maize", "The unicorn horn powder was tested."),
+    ])
+    def test_a_keyword_inside_another_word_is_no_match(self, food, text):
+        assert list(filter_by_food([record_with_abstract(text)], BUILTIN_FOODS[food])) == []
+
+    @pytest.mark.parametrize("food,text", [
+        ("maize", "Corn salad samples were analysed."),
+        ("dairy", "DAIRY-BASED DRINKS were analysed."),
+        ("salmon", "Fillets of farmed salmon were analysed."),
+        ("leafy_greens", "Washed leafy greens were analysed."),
+        ("dairy", "Three regional dairies were sampled."),
+    ])
+    def test_a_whole_keyword_or_its_plural_matches(self, food, text):
+        rec = record_with_abstract(text)
+        assert list(filter_by_food([rec], BUILTIN_FOODS[food])) == [rec]
+
+    def test_a_custom_keyword_matches_its_plural(self):
+        spec = FoodSpec(canonical_name="mussels", keywords=frozenset({"mussel"}))
+        rec = record_with_abstract("Mussels from two farms were sampled.")
+        assert list(filter_by_food([rec], spec)) == [rec]
+
     def test_food_spec_requires_keywords(self):
         with pytest.raises(ValueError):
             FoodSpec(canonical_name="empty", keywords=frozenset())

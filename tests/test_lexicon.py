@@ -37,7 +37,10 @@ from hazardex.lexicon import (
     IndexStats,
     LexiconIndex,
     _candidate_keys,
+    _line_before,
+    _own_surfaces,
     _spelling_key,
+    _surface_count,
     _surfaces,
     LexiconSourceError,
     ParseStats,
@@ -200,6 +203,28 @@ class TestSurfacesFor:
             assert surfaces_for(name) == expected, name
 
 
+class TestSurfaceCount:
+    """The build counts a name's own surfaces without making them; the count
+    is the size of the set a lookup makes."""
+
+    @settings(deadline=None)
+    @given(st.text(alphabet="abcshyxzABSYé²αβγ0129١ -", max_size=16), st.data())
+    def test_any_name_under_any_stoplist(self, name, data):
+        own = sorted(_surfaces(name))
+        stopped = frozenset(data.draw(st.lists(st.sampled_from(own), max_size=3)))
+        # The empty and default stoplists hold no digit; `stopped` holds one
+        # whenever the name does, and "x1" always does.
+        for stoplist in (frozenset(), default_stoplist(), stopped, stopped | {"x1"}):
+            assert _surface_count(name, stoplist) == len(_own_surfaces(name, stoplist)), stoplist
+
+    def test_seeded_dump_names(self):
+        stoplist = default_stoplist()
+        names = {normalize(name) for _, name, _ in _seeded_dump_rows()}
+        assert sum(_surface_count(n, stoplist) > 2 for n in names) > 500
+        for name in names:
+            assert _surface_count(name, stoplist) == len(_own_surfaces(name, stoplist)), name
+
+
 # --------------------------------------------------------------------------
 # stoplist
 # --------------------------------------------------------------------------
@@ -272,6 +297,27 @@ class TestParseChebiSource:
         assert [r[0] for r in rows] == ["CHEBI:12", "CHEBI:16526"]
         assert stats.skipped == 2
 
+    def test_each_row_in_a_run_of_one_id_is_read_on_its_own(self, tmp_path):
+        path = tmp_path / "names.tsv"
+        path.write_text(
+            "COMPOUND_ID\tTYPE\tNAME\n"
+            "007\tNAME\tbond\n"
+            "007\tSYNONYM\t\n"
+            "007\tSYNONYM\tagent\n"
+            "chebi:7 \tSYNONYM\tspy\n"
+            "x7\tNAME\tnot an id\n"
+            "x7\tSYNONYM\tstill not\n"
+            "8\tNAME\teight\n"
+            "007\tsynonym\tback\n",
+            encoding="utf-8",
+        )
+        stats = ParseStats()
+        assert list(parse_chebi_source(path, stats)) == [
+            ("CHEBI:7", "bond", "NAME"), ("CHEBI:7", "agent", "SYNONYM"),
+            ("CHEBI:7", "spy", "SYNONYM"), ("CHEBI:8", "eight", "NAME"),
+            ("CHEBI:7", "back", "SYNONYM")]
+        assert (stats.rows, stats.skipped) == (5, 3)
+
     def test_reads_gzip_compressed_dumps(self, tmp_path):
         plain = write_chebi_tsv(tmp_path / "names.tsv")
         gz = tmp_path / "names.tsv.gz"
@@ -307,6 +353,13 @@ class TestBuildIndex:
 
     def test_stoplisted_names_never_index(self, lexicon_index):
         assert lexicon_index.lookup("molecule") is None
+
+    def test_an_identifier_past_64_bits_is_a_source_error(self):
+        largest = 2**63 - 1
+        idx = small_index([(f"CHEBI:{largest}", "lead", "NAME")])
+        assert idx.lookup("lead") == f"CHEBI:{largest}"
+        with pytest.raises(LexiconSourceError, match=f"CHEBI:{largest + 1}: identifier too large"):
+            small_index([("CHEBI:1", "tin", "NAME"), (f"CHEBI:{largest + 1}", "lead", "NAME")])
 
     def test_primary_name_outranks_synonym_on_contested_surface(self):
         idx = small_index([
@@ -670,6 +723,13 @@ class TestSpellingKey:
     @given(st.text(alphabet="abcxyhsé²١β1 -_.", max_size=14))
     def test_any_name(self, name):
         self.check(name)
+
+    @given(st.text(alphabet="abyzé²β19١ -,", max_size=10),
+           st.text(alphabet="abyzé²β19١ -,", max_size=10))
+    def test_a_search_compares_letters_first_in_key_order(self, name, other):
+        key = _spelling_key(other)
+        line = f"{name}\t1\t0".encode("utf-8")
+        assert _line_before(line, *key.split("\t")) == (_spelling_key(name) < key)
 
 
 class TestRestrictedLoad:

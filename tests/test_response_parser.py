@@ -305,6 +305,21 @@ class TestGating:
         candidate = make_candidate({"DAIRY-BASED DRINKS": ["melamine"]})
         assert gate_by_food(candidate, DAIRY).food_terms == candidate.food_terms
 
+    def test_keys_must_name_the_food_as_a_whole_word(self):
+        candidate = make_candidate({
+            "Salmonella-positive salmon": ["Hg"], "Salmonella": ["Pb"], "popcorn": ["Cd"],
+            "acorn": ["As"], "unicorn": ["Sn"], "Corn salad": ["nitrate"], "sweetcorns": ["Zn"],
+            "leafy greens": ["Cu"], "mussels": ["Cd"],
+        })
+        salmon = FoodSpec("salmon", frozenset({"salmon"}))
+        maize = FoodSpec("maize", frozenset({"maize", "corn"}))
+        leafy = FoodSpec("leafy_greens", frozenset({"leafy green"}))
+        mussel = FoodSpec("mussels", frozenset({"mussel"}))
+        assert list(gate_by_food(candidate, salmon).food_terms) == ["Salmonella-positive salmon"]
+        assert list(gate_by_food(candidate, maize).food_terms) == ["Corn salad"]
+        assert list(gate_by_food(candidate, leafy).food_terms) == ["leafy greens"]
+        assert list(gate_by_food(candidate, mussel).food_terms) == ["mussels"]
+
 
 # --------------------------------------------------------------------------
 # serialization

@@ -483,6 +483,9 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
 
     def work() -> dict:
         records = _read_records(src)
+        # The store exists even when no prompt was answered, so `link` runs on
+        # an empty corpus as on any other.
+        out.touch()
         backend = _make_backend(cfg)
         params = DecodingParams(
             max_new_tokens=cfg.max_new_tokens, repetition_penalty=cfg.repetition_penalty

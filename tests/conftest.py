@@ -1,5 +1,6 @@
 """Shared fixtures: chemical-dump builder, stub literature API, mock backend
-fixtures, and a complete offline end-to-end workspace.
+fixtures, an in-process CLI runner, and a complete offline end-to-end
+workspace.
 
 Also prints one PASS/FAIL/SKIP line per acceptance criterion at the end of a
 run (see test_acceptance.py).
@@ -7,15 +8,20 @@ run (see test_acceptance.py).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from hazardex.cli import main
 from hazardex.corpus import RawRecord, clean_record
 from hazardex.prompting import PromptStyle, fixture_filename
 
@@ -256,6 +262,47 @@ def stub_api():
     yield start
     for stub in stubs:
         stub.close()
+
+
+# --------------------------------------------------------------------------
+# in-process CLI runner
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    # Both streams interleaved in the order they were written, as a terminal shows them.
+    output: str
+
+
+class _Capture(io.StringIO):
+    """One stream's capture that also copies each write into the shared one."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def invoke(*args, env: dict[str, str] | None = None) -> CliResult:
+    """Run `hazardex <args>` in this process with `env` set over the
+    environment, and return its exit code and what it printed. An exception
+    other than `SystemExit` propagates."""
+    shared = io.StringIO()
+    out, err = _Capture(shared), _Capture(shared)
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main([str(a) for a in args], prog_name="hazardex")
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+    return CliResult(exit_code, out.getvalue(), err.getvalue(), shared.getvalue())
 
 
 # --------------------------------------------------------------------------

@@ -17,13 +17,11 @@ import time
 from datetime import date
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import E2E_EXPECTED_TABLE, make_workspace
+from conftest import E2E_EXPECTED_TABLE, invoke, make_workspace
 from oracles import oracle_expand, random_digit_name
 from parser_fixtures import FIXTURES
 from reference_figures import REFERENCE_ACCURACY, build_tables_and_gold
-from hazardex.cli import main
 from hazardex.corpus import AbstractRecord, BUILTIN_FOODS, build_search_query
 from hazardex.evaluation import format_cell, score
 from hazardex.lexicon import (
@@ -132,16 +130,11 @@ def test_template_integrity_and_shared_warning():
 
 def test_pipeline_is_deterministic_across_fresh_workdirs(tmp_path):
     """pipeline determinism: fresh reruns emit byte-identical reports (<30s/run)"""
-    runner = CliRunner()
     outputs = []
     for name in ("first", "second"):
         workspace = make_workspace(tmp_path / name)
         with Stopwatch() as watch:
-            result = runner.invoke(
-                main,
-                ["--config", str(workspace["config"]), "run-all", "--food", "dairy"],
-                catch_exceptions=False,
-            )
+            result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         assert result.exit_code == 0, result.output
         assert watch.elapsed < 30.0
         reports = workspace["workdir"] / "reports"

@@ -19,35 +19,27 @@ from unittest import mock
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from conftest import (
     E2E_ABSTRACTS,
     E2E_EXPECTED_TABLE,
     E2E_RESPONSES,
     e2e_records,
+    invoke,
     make_workspace,
     provider_record,
     write_chebi_tsv,
     write_mock_fixtures,
 )
 from oracles import oracle_index_v3
-from hazardex.cli import main
 from hazardex.config import ConfigError, load_config
 from hazardex.prompting import PromptStyle
-
-
-runner = CliRunner()
 
 
 class _Crash(BaseException):
     """Stands in for the process dying at an injected point. Like a signal or
     KeyboardInterrupt it is not an `Exception`, so the CLI cannot turn it into
     an exit code."""
-
-
-def invoke(*args, **kwargs):
-    return runner.invoke(main, [str(a) for a in args], catch_exceptions=False, **kwargs)
 
 
 def read_jsonl(path):
@@ -150,6 +142,60 @@ class TestConfig:
         cfg = load_config(None, environ={})
         with pytest.raises(ConfigError, match="unknown food"):
             cfg.food("durian")
+
+
+# --------------------------------------------------------------------------
+# usage
+# --------------------------------------------------------------------------
+
+# Every command and the options it takes, besides --help.
+_COMMAND_OPTIONS = {
+    "fetch": [],
+    "build-lexicon": [],
+    "filter": ["--food"],
+    "extract": ["--food", "--style"],
+    "link": ["--food", "--style"],
+    "report": ["--food"],
+    "evaluate": ["--gold", "--style"],
+    "run-all": ["--food", "--style"],
+}
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["frobnicate"],
+    ["filter"],
+    ["extract", "--food", "dairy", "--style", "bogus"],
+    ["evaluate", "--gold"],
+], ids=["no-command", "unknown-command", "filter-without-food", "unknown-style", "gold-without-value"])
+def test_a_usage_error_exits_2_and_creates_nothing(workspace, args):
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None for p in workspace["root"].rglob("*")}
+
+    before = tree()
+    result = invoke("--config", workspace["config"], *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: hazardex")
+    assert len([line for line in result.stderr.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in result.output
+    assert tree() == before
+
+
+def test_help_names_every_command_and_the_global_options():
+    result = invoke("--help")
+    assert result.exit_code == 0, result.output
+    for token in [*_COMMAND_OPTIONS, "--config", "-c", "--workdir", "--verbose", "-v"]:
+        assert re.search(rf"(?<![\w-]){re.escape(token)}\b", result.stdout), token
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_OPTIONS))
+def test_command_help_names_its_options(command):
+    result = invoke(command, "--help")
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith(f"usage: hazardex {command} ")
+    for option in ("--food", "--style", "--gold"):
+        assert (option in result.stdout) == (option in _COMMAND_OPTIONS[command]), option
 
 
 # --------------------------------------------------------------------------
@@ -878,6 +924,35 @@ class TestRunAll:
         assert result.output.count("up to date") == 7
         assert snapshot() == before
 
+    def test_a_copied_workdir_stays_fresh(self, workspace, tmp_path):
+        invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        copy = tmp_path / "copy"
+        shutil.copytree(workspace["workdir"], copy)
+
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in copy.rglob("*")}
+
+        before = tree()
+        result = invoke("--config", workspace["config"], "--workdir", copy,
+                        "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert [line for line in result.stdout.splitlines() if ":" in line] == [
+            f"{stage}: up to date" for stage in
+            ("fetch", "build-lexicon", "filter", "extract", "link", "report", "evaluate")]
+        assert tree() == before
+
+    def test_an_empty_corpus_runs_through_to_empty_reports(self, workspace):
+        """extract leaves a response store even when it asks nothing, so link
+        runs on an empty corpus as on any other."""
+        (workspace["workdir"] / "abstracts" / "abstracts.jsonl").write_bytes(b"")
+        result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        assert "matched=0" in result.stdout and "table_rows=0" in result.stdout
+        assert read_hazard_csv(workspace["workdir"]) == []
+        rerun = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
+        assert rerun.exit_code == 0, rerun.output
+        assert rerun.stdout.count("up to date") == 7
+
     def test_stagewise_run_equals_run_all(self, tmp_path):
         ws_all = make_workspace(tmp_path / "all")
         ws_steps = make_workspace(tmp_path / "steps")
@@ -1078,6 +1153,89 @@ def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stu
     assert path.read_bytes() == previous
 
 
+# --------------------------------------------------------------------------
+# damage matrix: every file a finished run-all leaves, damaged three ways
+# --------------------------------------------------------------------------
+
+_DAMAGES = {
+    "cut_to_half": lambda data: data[: len(data) // 2],
+    "garbage_line": lambda data: data + b"not a record\n",
+    "emptied": lambda data: b"",
+}
+
+# Every file under the workdir after run-all on the E2E workspace. The
+# adopted corpus is an input as well: a fresh run reads the same damage.
+_WORKDIR_FILES = [
+    "abstracts/abstracts.jsonl",
+    "abstracts/fetch.manifest.json",
+    "abstracts/filter__dairy.manifest.json",
+    "abstracts/filtered__dairy.jsonl",
+    "candidates/dairy__step_by_step.jsonl",
+    "candidates/link__dairy__step_by_step.manifest.json",
+    "lexicon/build.manifest.json",
+    "lexicon/build_report.json",
+    "lexicon/index.jsonl",
+    "reports/accuracy__step_by_step.csv",
+    "reports/accuracy__step_by_step.json",
+    "reports/evaluate__step_by_step.manifest.json",
+    "reports/hazards__dairy__step_by_step.csv",
+    "reports/hazards__dairy__step_by_step.json",
+    "reports/report__dairy__step_by_step.manifest.json",
+    "responses/dairy__step_by_step.jsonl",
+    "responses/extract__dairy__step_by_step.manifest.json",
+    "tables/dairy__step_by_step.json",
+]
+_INPUTS = {"abstracts/abstracts.jsonl"}
+
+
+def report_bytes(workdir: Path) -> dict[str, bytes]:
+    """The reports, without their manifests, which record times."""
+    return {p.name: p.read_bytes() for p in sorted((workdir / "reports").glob("*"))
+            if not p.name.endswith(".manifest.json")}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    ws = make_workspace(tmp_path_factory.mktemp("finished") / "ws")
+    result = invoke("--config", ws["config"], "run-all", "--food", "dairy")
+    assert result.exit_code == 0, result.output
+    return ws
+
+
+def test_the_damage_matrix_covers_every_file_run_all_leaves(finished_run):
+    workdir = finished_run["workdir"]
+    assert sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*") if p.is_file()) == (
+        _WORKDIR_FILES)
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGES))
+@pytest.mark.parametrize("target", _WORKDIR_FILES)
+def test_a_damaged_file_is_one_error_line_or_reports_as_a_fresh_run(
+    tmp_path, finished_run, target, damage
+):
+    damaged = _DAMAGES[damage]
+    ws = tmp_path / "ws"
+    shutil.copytree(finished_run["root"], ws)
+    path = ws / "work" / target
+    path.write_bytes(damaged(path.read_bytes()))
+    result = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        (error,) = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: .+; [a-z].+", error), error
+        return
+    assert result.exit_code == 0, result.output
+    if target in _INPUTS:
+        fresh = make_workspace(tmp_path / "fresh")
+        corpus = fresh["workdir"] / target
+        corpus.write_bytes(damaged(corpus.read_bytes()))
+        assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
+        expected = report_bytes(fresh["workdir"])
+    else:
+        expected = report_bytes(finished_run["workdir"])
+    assert report_bytes(ws / "work") == expected
+
+
 def test_benchmark_spans_find_every_traced_name(workspace):
     """perfbench hooks these names by attribute, calls the stages as
     `in_process_pass` does and loads the index as `traced` does: a refactor
@@ -1175,7 +1333,7 @@ def test_an_up_to_date_command_loads_only_what_its_freshness_check_needs(workspa
     result = invoke("--config", workspace["config"], "run-all", "--food", "dairy")
     assert result.exit_code == 0, result.output
     run = ("from hazardex import cli; "
-           "cli.main(['--config', sys.argv[1], *sys.argv[2:]], standalone_mode=False)")
+           "cli.main(['--config', sys.argv[1], *sys.argv[2:]])")
     expected = {
         ("fetch",): [],
         ("build-lexicon",): ["lexicon"],
@@ -1199,7 +1357,7 @@ def test_an_evaluate_that_does_work_loads_only_evaluation_and_linker(workspace):
     for manifest in manifests:
         manifest.unlink()
     run = ("from hazardex import cli; "
-           "cli.main(['--config', sys.argv[1], 'evaluate'], standalone_mode=False)")
+           "cli.main(['--config', sys.argv[1], 'evaluate'])")
     lines = _stage_modules_loaded(run, workspace["config"])
     assert "evaluate: up to date" not in lines
     assert lines[-1] == str(["evaluation", "linker"])

@@ -794,6 +794,20 @@ class TestRestrictedLoad:
             assert chebi_id == seeded_index.lookup(surface) is not None, surface
             assert loaded.preferred_name(chebi_id) == seeded_index.preferred_name(chebi_id)
 
+    def test_a_surface_that_normalize_changes_is_found_by_its_raw_form(self, tmp_path):
+        # The swap moves "1" before "a", so the acute accent that followed
+        # "1" now follows "a", and NFKC composes the two into "á". The raw
+        # spelling is a surface of the name and its normalized spelling is
+        # not, so a lookup that searched only `normalize(surface)` would miss.
+        name = "\u0390a1\u0301\u00c5\u0130xz"
+        raw = "\u03b9\u0308\u03011 a\u0301\u00e5i\u0307xz"
+        assert raw in surfaces_for(name) and normalize(raw) not in surfaces_for(name)
+        built = small_index([("CHEBI:1", name, "NAME")])
+        built.save(tmp_path / "index.jsonl")
+        for index in (built, LexiconIndex.load(tmp_path / "index.jsonl")):
+            assert index.lookup(raw) == "CHEBI:1"
+            assert index.lookup(normalize(raw)) is None
+
     def test_a_miss_outside_the_wanted_set_is_recorded_and_a_second_load_answers_it(
         self, seeded_index_file, monkeypatch
     ):

@@ -61,7 +61,6 @@ from __future__ import annotations
 import functools
 import gzip
 import hashlib
-import io
 import itertools
 import json
 import logging
@@ -80,7 +79,9 @@ log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
 INDEX_VERSION = 4
-_REBUILD = "rerun build-lexicon"
+# Damage that keeps the index's size leaves build-lexicon up to date, so the
+# remedy deletes the index first; build-lexicon signs `INDEX_VERSION` itself.
+_REBUILD = "delete it and rerun build-lexicon"
 
 _WS_RE = re.compile(r"\s+")
 
@@ -132,11 +133,12 @@ def load_stoplist(source: str | Path | TextIO) -> frozenset[str]:
     return frozenset(entries)
 
 
-def default_stoplist() -> frozenset[str]:
-    from importlib.resources import files
+# The stoplist a build uses when the config names none.
+DEFAULT_STOPLIST = Path(__file__).with_name("data") / "stoplist.txt"
 
-    text = files("hazardex").joinpath("data/stoplist.txt").read_text(encoding="utf-8")
-    return load_stoplist(io.StringIO(text))
+
+def default_stoplist() -> frozenset[str]:
+    return load_stoplist(DEFAULT_STOPLIST)
 
 
 def _assignments(name: str, cross_product: bool) -> set[str]:
@@ -515,7 +517,7 @@ def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
     if found != (INDEX_FORMAT, INDEX_VERSION):
         raise IndexFormatError(
             f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
-            f"got {found[0]!r} v{found[1]!r}; {_REBUILD}"
+            f"got {found[0]!r} v{found[1]!r}; rerun build-lexicon"
         )
     fields = {key: value for key, value in header.items() if key != "header_sha256"}
     if _fields_sha256(fields) != header.get("header_sha256"):

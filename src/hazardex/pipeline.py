@@ -1,15 +1,16 @@
 """Staged pipeline over a workdir: fetch, lexicon, filter, extract, link, report, evaluate.
 
-Every stage runs through `_stage`. It refuses a stage whose input is missing
-before hashing or writing anything, naming the command that makes the input
-or the config key that names it. Otherwise it writes the stage's outputs,
-making their directories, plus a manifest recording the hashes of its
-inputs, the byte sizes of its outputs, its counts and its timing; rerunning a
-stage whose inputs are unchanged, whose outputs keep those sizes and whose
-counts record no failures is a no-op. Fetching additionally keeps its own
-cursor state so an interrupted crawl resumes instead of refetching, and
-extraction skips every (abstract, style) pair the response store already
-holds. All data goes to files under the workdir, written through
+Every stage runs through `_stage`, given the files it reads. It refuses a
+stage whose input is missing before hashing or writing anything, naming the
+command that makes the input or the config key that names it. Otherwise it
+digests every input itself, so no stage reads a file its signature leaves
+out, and writes the stage's outputs, making their directories, plus a
+manifest recording those digests with what else the stage reads, the byte
+sizes of its outputs, its counts and its timing; rerunning a stage whose
+inputs are unchanged, whose outputs keep those sizes and whose counts record
+no failures is a no-op. Fetching additionally keeps its own cursor state so
+an interrupted crawl resumes instead of refetching, and extraction skips
+every (abstract, style) pair the response store already holds. All data goes to files under the workdir, written through
 `artifacts`; a `.lock` file keeps concurrent runs off the same workdir.
 
 Each CLI command runs one stage in a fresh interpreter, so this module loads
@@ -26,6 +27,7 @@ the stand-ins can become local imports.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import importlib
 import json
@@ -40,7 +42,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .artifacts import file_sha256, json_line, read_jsonl, write_json as _write_json, write_jsonl
+from .artifacts import ArtifactFormatError, file_sha256, json_line, read_jsonl, write_jsonl
+from .artifacts import write_json as _write_json
 # `perfbench/spans.py` times the candidates write under this name.
 from .artifacts import write_jsonl as write_candidates_jsonl
 from .common import PromptStyle
@@ -162,25 +165,34 @@ def _peak_rss_mb() -> float:
     return round(kib * 1024 / 1e6, 1)  # Linux counts `ru_maxrss` in KiB
 
 
-def _check(inputs) -> None:
-    """Refuse a stage whose input is missing. Each input is (path, remedy): a
-    `*` in the name needs one match, and None is a path the config lacks."""
-    for path, remedy in inputs:
-        if path is None:
-            raise PipelineError(f"no path configured; {remedy}")
-        path = Path(path)
-        if not (any(path.parent.glob(path.name)) if "*" in path.name else path.exists()):
-            raise PipelineError(f"{path} not found; {remedy}")
+def _found(path: Path | None, remedy: str) -> list[Path]:
+    """The files an input names, or a refusal: a `*` in the name needs one
+    match, and None is a path the config lacks."""
+    if path is None:
+        raise PipelineError(f"no path configured; {remedy}")
+    path = Path(path)
+    if "*" in path.name:
+        found = sorted(path.parent.glob(path.name))
+    else:
+        found = [path] if path.exists() else []
+    if not found:
+        raise PipelineError(f"{path} not found; {remedy}")
+    return found
 
 
-def _stage(name: str, manifest: Path, inputs, signature, outputs: list[Path], work) -> StageResult:
-    """Check the inputs, then compute `signature()` and skip the stage when
-    `_fresh` says so; otherwise make the output directories, and `work()`
-    writes the outputs and returns the counts, which the manifest records
-    with the signature, the output sizes and when the work started and
-    finished. The count "failed" is the result's number of partial failures."""
-    _check(inputs)
-    sig = signature()
+def _stage(name: str, manifest: Path, inputs, fields, outputs: list[Path], work) -> StageResult:
+    """Find every input, then sign them: the signature is `fields()`, what
+    the stage reads besides its input files, plus under "inputs" one
+    {file name: digest} per input in declared order, a `*` input match by
+    match. An input is (path, remedy) or (path, remedy, digest); the digest
+    defaults to `file_sha256`. Skip the stage when `_fresh` says so;
+    otherwise make the output directories, and `work()` writes the outputs
+    and returns the counts, which the manifest records with the signature,
+    the output sizes and when the work started and finished. The count
+    "failed" is the result's number of partial failures."""
+    found = [(_found(path, remedy), digest[0] if digest else file_sha256)
+             for path, remedy, *digest in inputs]
+    sig = {**fields(), "inputs": [{p.name: digest(p) for p in paths} for paths, digest in found]}
     started, clock = _now(), time.perf_counter()
     label = manifest.name.removesuffix(".manifest.json")
     previous = _fresh(manifest, sig, outputs)
@@ -263,12 +275,17 @@ def _read_records(path: Path) -> list[AbstractRecord]:
 def _read_table(path: Path) -> HazardTable:
     from .linker import HazardTable, LinkedHazard
 
-    obj = _read_json(path)
-    rows = tuple(
-        LinkedHazard(**{**row, "supporting_dois": tuple(row["supporting_dois"])})
-        for row in obj["rows"]
-    )
-    return HazardTable(food=obj["food"], rows=rows)
+    try:
+        obj = _read_json(path)
+        rows = tuple(
+            LinkedHazard(**{**row, "supporting_dois": tuple(row["supporting_dois"])})
+            for row in obj["rows"]
+        )
+        return HazardTable(food=obj["food"], rows=rows)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactFormatError(
+            f"{path}: not a hazard table ({exc!r}); delete it and rerun link"
+        ) from exc
 
 
 def _stem(food_name: str, style: PromptStyle) -> str:
@@ -280,13 +297,13 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
     area = cfg.workdir / "abstracts"
     out = area / "abstracts.jsonl"
     query = build_search_query(cfg.cutoff_date)
-    signature = {
+    fields = {
         "query_sha256": _hash_text(query.rendered),
         "endpoint": cfg.api_endpoint or "",
         "page_size": cfg.page_size,
     }
 
-    # Without an endpoint the stage adopts the corpus already in place.
+    # Without an endpoint the stage adopts, and signs, the corpus already in place.
     inputs = [] if cfg.api_endpoint else [(out, "set api.endpoint")]
 
     def work() -> dict:
@@ -297,7 +314,7 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
 
         raw_path = area / "raw_records.jsonl"
         state_path = area / "fetch_state.json"
-        state_sig = _hash_obj(signature)
+        state_sig = _hash_obj(fields)
         try:
             state = _read_json(state_path)
         except FileNotFoundError:
@@ -379,38 +396,30 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
             **{f"rejected_{reason}": n for reason, n in sorted(rejected.items())},
         }
 
-    return _stage("fetch", area / "fetch.manifest.json", inputs, lambda: signature, [out], work)
+    return _stage("fetch", area / "fetch.manifest.json", inputs, lambda: fields, [out], work)
 
 
 def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
     """Parse the names dump and serialize the surface index."""
-    from .lexicon import INDEX_VERSION, ParseStats, default_stoplist, load_stoplist
+    from .lexicon import DEFAULT_STOPLIST, INDEX_VERSION, ParseStats, load_stoplist
 
     area = cfg.workdir / "lexicon"
     out = area / "index.jsonl"
     report_path = area / "build_report.json"
-    inputs = [(cfg.chebi_dump, "set lexicon.chebi_dump")]
-    if cfg.stoplist_path is not None:
-        inputs.append((cfg.stoplist_path, "set lexicon.stoplist"))
-    # `work` builds from what the signature read, so the dump is hashed once.
-    stoplist, checksum = frozenset(), ""
-
-    def signature() -> dict:
-        nonlocal stoplist, checksum
-        stoplist = load_stoplist(cfg.stoplist_path) if cfg.stoplist_path else default_stoplist()
-        checksum = file_sha256(cfg.chebi_dump)
-        return {
-            "dump_sha256": checksum,
-            "stoplist_sha256": _hash_obj(sorted(stoplist)),
-            "index_version": INDEX_VERSION,
-        }
+    stoplist_path = cfg.stoplist_path or DEFAULT_STOPLIST
+    # The dump's digest is also the index's `source_sha256`: the dump is hashed once.
+    dump_sha256 = functools.cache(file_sha256)
+    inputs = [
+        (cfg.chebi_dump, "set lexicon.chebi_dump", dump_sha256),
+        (stoplist_path, "set lexicon.stoplist"),
+    ]
 
     def work() -> dict:
         stats = ParseStats()
         index = build_index(
             parse_chebi_source(cfg.chebi_dump, stats),
-            stoplist,
-            source_checksum=checksum,
+            load_stoplist(stoplist_path),
+            source_checksum=dump_sha256(cfg.chebi_dump),
             parse_stats=stats,
         )
         index.save(out)
@@ -418,7 +427,8 @@ def stage_build_lexicon(cfg: PipelineConfig) -> StageResult:
         return vars(index.stats)
 
     manifest = area / "build.manifest.json"
-    return _stage("build-lexicon", manifest, inputs, signature, [out, report_path], work)
+    fields = {"index_version": INDEX_VERSION}
+    return _stage("build-lexicon", manifest, inputs, lambda: fields, [out, report_path], work)
 
 
 def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
@@ -434,11 +444,11 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
         write_jsonl(out, kept)
         return {"input": len(records), "matched": len(kept)}
 
-    def signature() -> dict:
-        return {"abstracts_sha256": file_sha256(src), "food_pattern": food_pattern(food).pattern}
+    def fields() -> dict:
+        return {"food_pattern": food_pattern(food).pattern}
 
     manifest = area / f"filter__{food_name}.manifest.json"
-    return _stage("filter", manifest, [(src, "run fetch first")], signature, [out], work)
+    return _stage("filter", manifest, [(src, "run fetch first")], fields, [out], work)
 
 
 def _make_backend(cfg: PipelineConfig):
@@ -459,21 +469,20 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
     templates_dir = str(cfg.templates_dir) if cfg.templates_dir else None
     inputs = [(src, "run filter first")]
     if cfg.backend_kind == "mock":
-        inputs.append((cfg.fixtures_dir, "set backend.fixtures_dir"))
+        # A directory of answers, signed by its path.
+        inputs.append((cfg.fixtures_dir, "set backend.fixtures_dir", str))
     elif not cfg.backend_url:
-        # A URL is no path for `_check`; refused here, before `_stage` makes directories.
+        # A URL is no path for `_found`; refused here, before `_stage` makes directories.
         raise PipelineError("no url configured; set backend.url")
 
-    def signature() -> dict:
+    def fields() -> dict:
         return {
-            "filtered_sha256": file_sha256(src),
             "style": style.value,
             "template_sha256": _hash_text(load_template(style, templates_dir)),
             "backend": {
                 "kind": cfg.backend_kind,
                 "url": cfg.backend_url or "",
                 "model": cfg.backend_model,
-                "fixtures_dir": str(cfg.fixtures_dir or ""),
             },
             "decoding": {
                 "max_new_tokens": cfg.max_new_tokens,
@@ -510,7 +519,7 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
         }
 
     manifest = area / f"extract__{_stem(food_name, style)}.manifest.json"
-    return _stage("extract", manifest, inputs, signature, [out], work)
+    return _stage("extract", manifest, inputs, fields, [out], work)
 
 
 def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> StageResult:
@@ -527,18 +536,12 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
     inputs = [
         (responses_path, "run extract first"),
         (filtered_path, "run filter first"),
-        (index_path, "run build-lexicon first"),
+        # The header pins the body by its sha256; `load` checks the body.
+        (index_path, "run build-lexicon first", lambda p: [header_sha256(p), p.stat().st_size]),
     ]
 
-    def signature() -> dict:
-        return {
-            "responses_sha256": file_sha256(responses_path),
-            "filtered_sha256": file_sha256(filtered_path),
-            # The header pins the body by its sha256; `load` checks the body.
-            "index_header_sha256": header_sha256(index_path),
-            "index_bytes": index_path.stat().st_size,
-            "food_pattern": food_pattern(food).pattern,
-        }
+    def fields() -> dict:
+        return {"food_pattern": food_pattern(food).pattern}
 
     def work() -> dict:
         from .prompting import ResponseStore
@@ -585,15 +588,14 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         }
 
     manifest = candidates_path.with_name(f"link__{stem}.manifest.json")
-    return _stage("link", manifest, inputs, signature, [candidates_path, table_path], work)
+    return _stage("link", manifest, inputs, fields, [candidates_path, table_path], work)
 
 
 def stage_report(cfg: PipelineConfig, food_name: str) -> StageResult:
     """Emit every linked table of the food as CSV and JSON reports, one
     report stage per table; the tables that did not change are skipped."""
     tables = cfg.workdir / "tables" / f"{food_name}__*.json"
-    _check([(tables, "run link first")])
-    table_paths = sorted(tables.parent.glob(tables.name))
+    table_paths = _found(tables, "run link first")
     reports_area = cfg.workdir / "reports"
     results = []
     for table_path in table_paths:
@@ -609,8 +611,8 @@ def stage_report(cfg: PipelineConfig, food_name: str) -> StageResult:
 
         manifest = reports_area / f"report__{stem}.manifest.json"
         outputs = [csv_path, json_path]
-        signature = {"table_sha256": file_sha256(table_path)}
-        results.append(_stage("report", manifest, [], lambda: signature, outputs, work))
+        inputs = [(table_path, "run link first")]
+        results.append(_stage("report", manifest, inputs, lambda: {}, outputs, work))
     emitted = [p.stem for p in table_paths]
     log.info("report[%s]: emitted %s", food_name, ", ".join(emitted))
     done = [r.duration_s for r in results if not r.skipped]
@@ -631,8 +633,8 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
     carries the printable grid of `style`, read back from its accuracy CSV
     whether the stage ran or was skipped.
 
-    The comparison across styles is rewritten from the same reports, so every
-    table, the gold file and the food order make up the signature.
+    The comparison across styles is rewritten from the same reports, so the
+    gold file, every style's tables and the food order make up the signature.
     """
     tables_area = cfg.workdir / "tables"
     styles_present = [s for s in PromptStyle if any(tables_area.glob(f"*__{s.value}.json"))]
@@ -642,17 +644,9 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
     outputs = [json_path, csv_path]
     if len(styles_present) > 1:
         outputs += [reports_area / "comparison.csv", reports_area / "comparison.json"]
-    inputs = [
-        (gold_path, "pass --gold or set evaluation.gold"),
-        (tables_area / f"*__{style.value}.json", "run link first"),
-    ]
-
-    def signature() -> dict:
-        return {
-            "gold_sha256": file_sha256(gold_path),
-            "tables": {p.name: file_sha256(p) for p in sorted(tables_area.glob("*.json"))},
-            "foods": list(cfg.foods),
-        }
+    inputs = [(gold_path, "pass --gold or set evaluation.gold")]
+    inputs += [(tables_area / f"*__{s.value}.json", "run link first")
+               for s in PromptStyle if s in styles_present or s == style]
 
     def work() -> dict:
         from .evaluation import grid_rows, report_to_json_dict, select_prompt, write_grid_csv
@@ -698,7 +692,7 @@ def stage_evaluate(cfg: PipelineConfig, gold_path: Path | None, style: PromptSty
         }
 
     manifest = reports_area / f"evaluate__{style.value}.manifest.json"
-    result = _stage("evaluate", manifest, inputs, signature, outputs, work)
+    result = _stage("evaluate", manifest, inputs, lambda: {"foods": list(cfg.foods)}, outputs, work)
     with csv_path.open("r", encoding="utf-8", newline="") as fh:
         result.grid = list(csv.reader(fh))
     return result

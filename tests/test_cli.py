@@ -679,6 +679,34 @@ class TestStageCommands:
         assert result.exit_code == 2
         assert "body does not match its checksum" in result.output
 
+    def test_an_index_edited_to_its_own_size_is_rebuilt_by_following_the_remedy(
+        self, workspace, tmp_path
+    ):
+        """The edit keeps the index's size, so build-lexicon alone would find
+        it up to date; the error asks for the index to go first."""
+        config = workspace["config"]
+        for args in (["fetch"], ["build-lexicon"], ["filter", "--food", "dairy"],
+                     ["extract", "--food", "dairy"]):
+            assert invoke("--config", config, *args).exit_code == 0, args
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        blob = index_path.read_bytes()
+        index_path.write_bytes(blob.replace(b'"cadmium"', b'"kadmium"'))
+        assert index_path.stat().st_size == len(blob)
+        refused = invoke("--config", config, "run-all", "--food", "dairy")
+        assert refused.exit_code == 2
+        assert [line for line in refused.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: {index_path}: body does not match its checksum; delete it and rerun build-lexicon"]
+        assert "up to date" in invoke("--config", config, "build-lexicon").output
+        index_path.unlink()
+        rebuilt = invoke("--config", config, "build-lexicon")
+        assert rebuilt.exit_code == 0, rebuilt.output
+        assert "up to date" not in rebuilt.output
+        result = invoke("--config", config, "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        fresh = make_workspace(tmp_path / "fresh")
+        assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
+        assert report_bytes(workspace["workdir"]) == report_bytes(fresh["workdir"])
+
     def test_manifest_without_output_sizes_counts_as_stale(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         manifest = workspace["workdir"] / "lexicon" / "build.manifest.json"
@@ -908,6 +936,24 @@ class TestRunAll:
         assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
         assert outputs(rerun) == outputs(fresh)
         assert "CHEBI:27744" not in (rerun["workdir"] / "tables" / "dairy__step_by_step.json").read_text()
+
+    def test_an_adopted_corpus_that_keeps_its_size_is_counted_again(self, workspace):
+        """One record dropped and another's title padded by as many bytes:
+        fetch signs the corpus it adopts, so it records the new count."""
+        assert invoke("--config", workspace["config"], "fetch").exit_code == 0
+        path = workspace["workdir"] / "abstracts" / "abstracts.jsonl"
+        size = path.stat().st_size
+        dropped, *lines = path.read_text("utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["title"] += " " * len(dropped.encode("utf-8"))
+        lines[0] = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert path.stat().st_size == size
+        result = invoke("--config", workspace["config"], "fetch")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output
+        manifest = json.loads((path.parent / "fetch.manifest.json").read_text("utf-8"))
+        assert manifest["counts"]["kept"] == 11
 
     def test_second_run_skips_every_stage_and_changes_nothing(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
@@ -1234,6 +1280,118 @@ def test_a_damaged_file_is_one_error_line_or_reports_as_a_fresh_run(
     else:
         expected = report_bytes(finished_run["workdir"])
     assert report_bytes(ws / "work") == expected
+
+
+def test_a_table_damaged_to_its_own_size_is_relinked_by_following_the_remedy(
+    tmp_path, finished_run
+):
+    """link keeps the table's size and stays up to date; report, which signs
+    the table, names it and asks for it to go."""
+    ws = tmp_path / "ws"
+    shutil.copytree(finished_run["root"], ws)
+    path = ws / "work" / "tables" / "dairy__step_by_step.json"
+    path.write_bytes(b"X" + path.read_bytes()[1:])
+    refused = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
+    assert refused.exit_code == 2
+    (error,) = [line for line in refused.stderr.splitlines() if line.startswith("error:")]
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: .+; delete it and rerun link", error)
+    path.unlink()
+    result = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
+    assert result.exit_code == 0, result.output
+    assert report_bytes(ws / "work") == report_bytes(finished_run["workdir"])
+
+
+def _swap_last_lines(data: bytes) -> bytes:
+    *head, last_but_one, last = data.splitlines(keepends=True)
+    return b"".join([*head, last, last_but_one])
+
+
+def _swapcase_after(marker: bytes):
+    def edit(data: bytes) -> bytes:
+        at = data.index(marker) + len(marker)
+        return data[:at] + data[at:at + 1].swapcase() + data[at + 1:]
+
+    return edit
+
+
+_DUMP = "chebi_names.tsv"
+_STOPLIST = "stoplist.txt"
+
+
+@pytest.fixture
+def signed_run(tmp_path):
+    """Both styles run through on the E2E workspace, with a stoplist file."""
+    from hazardex.lexicon import DEFAULT_STOPLIST
+
+    ws = two_style_workspace(tmp_path / "ws")
+    (ws["root"] / _STOPLIST).write_bytes(DEFAULT_STOPLIST.read_bytes())
+    config = ws["config"].read_text("utf-8")
+    ws["config"].write_text(config.replace(f"chebi_dump: {_DUMP}\n",
+                                           f"chebi_dump: {_DUMP}\n  stoplist: {_STOPLIST}\n"),
+                            encoding="utf-8")
+    run_two_styles(ws)
+    return ws
+
+
+@pytest.mark.parametrize("command, target, edit, refusal", [
+    pytest.param(["fetch"], "work/abstracts/abstracts.jsonl", _swap_last_lines, None,
+                 id="fetch-adopted-corpus"),
+    pytest.param(["build-lexicon"], _DUMP, _swap_last_lines, None, id="build-lexicon-dump"),
+    pytest.param(["build-lexicon"], _STOPLIST, _swap_last_lines, None, id="build-lexicon-stoplist"),
+    pytest.param(["filter", "--food", "dairy"], "work/abstracts/abstracts.jsonl", _swap_last_lines,
+                 None, id="filter-corpus"),
+    pytest.param(["extract", "--food", "dairy"], "work/abstracts/filtered__dairy.jsonl",
+                 _swap_last_lines, None, id="extract-filtered"),
+    pytest.param(["link", "--food", "dairy"], "work/responses/dairy__step_by_step.jsonl",
+                 _swap_last_lines, None, id="link-responses"),
+    pytest.param(["link", "--food", "dairy"], "work/abstracts/filtered__dairy.jsonl",
+                 _swap_last_lines, None, id="link-filtered"),
+    # The header checks itself, so an edit of it keeps link from loading the index.
+    pytest.param(["link", "--food", "dairy"], "work/lexicon/index.jsonl",
+                 _swapcase_after(b'"stoplist": ["'), "header does not match its checksum",
+                 id="link-index-header"),
+    pytest.param(["report", "--food", "dairy"], "work/tables/dairy__step_by_step.json",
+                 _swapcase_after(b'"preferred_name": "'), None, id="report-table"),
+    pytest.param(["evaluate"], "gold.csv", _swap_last_lines, None, id="evaluate-gold"),
+    pytest.param(["evaluate"], "work/tables/dairy__step_by_step.json",
+                 _swapcase_after(b'"preferred_name": "'), None, id="evaluate-own-table"),
+    pytest.param(["evaluate"], "work/tables/dairy__simple.json",
+                 _swapcase_after(b'"preferred_name": "'), None, id="evaluate-other-table"),
+])
+def test_every_declared_input_signs_its_stage(signed_run, command, target, edit, refusal):
+    """An edit that keeps the input's size makes its stage run again."""
+    config, path = signed_run["config"], signed_run["root"] / target
+    invoke("--config", config, *command)
+    assert "up to date" in invoke("--config", config, *command).output
+    data = path.read_bytes()
+    edited = edit(data)
+    assert edited != data and len(edited) == len(data)
+    path.write_bytes(edited)
+    result = invoke("--config", config, *command)
+    assert "up to date" not in result.output
+    if refusal is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 2 and refusal in result.stderr
+
+
+def test_a_dump_and_a_stoplist_that_share_a_file_name_are_both_signed(workspace):
+    root, config = workspace["root"], workspace["config"]
+    dump, stoplist = root / "dump" / "names.txt", root / "stop" / "names.txt"
+    dump.parent.mkdir()
+    stoplist.parent.mkdir()
+    (root / _DUMP).rename(dump)
+    stoplist.write_text("molecule\nsolvent\nacid\n", encoding="utf-8")
+    config.write_text(config.read_text("utf-8").replace(
+        f"chebi_dump: {_DUMP}\n", "chebi_dump: dump/names.txt\n  stoplist: stop/names.txt\n"),
+        encoding="utf-8")
+    assert invoke("--config", config, "build-lexicon").exit_code == 0
+    for path in (stoplist, dump):
+        assert "up to date" in invoke("--config", config, "build-lexicon").output
+        path.write_bytes(_swap_last_lines(path.read_bytes()))
+        result = invoke("--config", config, "build-lexicon")
+        assert result.exit_code == 0, result.output
+        assert "up to date" not in result.output, path
 
 
 def test_benchmark_spans_find_every_traced_name(workspace):

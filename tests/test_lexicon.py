@@ -615,7 +615,7 @@ class TestIndexPersistence:
         header = json.loads(header_line)
         header[field] = edit(header[field])
         path.write_bytes(json.dumps(header, ensure_ascii=False, sort_keys=True).encode() + b"\n" + body)
-        with pytest.raises(IndexFormatError, match="header does not match its checksum; rerun build-lexicon"):
+        with pytest.raises(IndexFormatError, match="header does not match its checksum; delete it and rerun build-lexicon"):
             LexiconIndex.load(path)
 
     def test_load_refuses_the_version_3_layout(self, lexicon_index, tmp_path):

@@ -37,14 +37,11 @@ A count is worked out, not made: the separator variants of a spelling are
 all distinct, those of its swapped number are others, a plural doubles
 them, and a stoplist entry without a digit removes no surface of a name
 with one (`_surface_count`); only a stoplist with a digit in an entry has
-such names' surfaces made. Names with a digit run make most of the
-surfaces. Each time 8,192 of them have piled up, that batch is counted in a
-`fork` worker pool of one fewer process than the usable CPUs, made when the
-first batch fills, while the parent reads on; the parent counts the names
-without one, the last partial batch, and every batch when it has no spare
-CPU. A small dump never fills a batch and builds in one process. A count
-does not depend on the process that makes it, so the saved index does not
-depend on the CPU count.
+such names' surfaces made. The formula reads only a name's shape: its
+runs of letters, digits and other characters in order, with each digit run
+written "1" and each letter run cut to its last two characters. Names with a
+digit run make most of the surfaces, and many share a shape, so each shape
+is worked out once. The build runs in one process.
 
 `LexiconIndex.load` checks the header and the body against their checksums,
 so a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
@@ -64,7 +61,6 @@ import hashlib
 import itertools
 import json
 import logging
-import os
 import re
 import unicodedata
 from array import array
@@ -514,14 +510,19 @@ def _read_artifact(path: Path) -> tuple[dict, bytes, int, int]:
         found = (header.get("format"), header.get("version"))
     except (ValueError, AttributeError) as exc:
         raise IndexFormatError(f"{path}: not an index artifact; {_REBUILD}") from exc
-    if found != (INDEX_FORMAT, INDEX_VERSION):
+    # A header that carries a checksum is checked against it before its
+    # version, so an edited version reads as damage and not as an older build,
+    # which the signed `INDEX_VERSION` rebuilds. A version-3 header has none.
+    current = found == (INDEX_FORMAT, INDEX_VERSION)
+    fields = {key: value for key, value in header.items() if key != "header_sha256"}
+    if (current or "header_sha256" in header) and (
+            _fields_sha256(fields) != header.get("header_sha256")):
+        raise IndexFormatError(f"{path}: header does not match its checksum; {_REBUILD}")
+    if not current:
         raise IndexFormatError(
             f"{path}: expected {INDEX_FORMAT} v{INDEX_VERSION}, "
             f"got {found[0]!r} v{found[1]!r}; rerun build-lexicon"
         )
-    fields = {key: value for key, value in header.items() if key != "header_sha256"}
-    if _fields_sha256(fields) != header.get("header_sha256"):
-        raise IndexFormatError(f"{path}: header does not match its checksum; {_REBUILD}")
     body = memoryview(blob)[body_start:]
     if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
         raise IndexFormatError(f"{path}: body does not match its checksum; {_REBUILD}")
@@ -586,19 +587,42 @@ def _surface_count(normalized: str, stoplist: frozenset[str]) -> int:
     - every surface of a name with a digit run holds its digits, so a
       stoplist with no digit in any entry removes none of them.
 
+    The formula reads a name's shape and nothing else, so it is worked out
+    once per shape (`_shape_count`). The shape is the name with each digit
+    run written "1" and each letter run cut to its last two characters. It
+    keeps the order of letter runs, digit runs and every other character,
+    so it has the same slots, digit runs and words, and a swap moves the
+    same word past the same number. Only the interiors of letter runs are
+    cut, and the plural rule reads at most a spelling's last two
+    characters, which the shape keeps. A swap can join its word to the
+    letter run after the number. The joined run ends in that run's last two
+    characters, or, when that run is one letter, in the word's last letter
+    and that one; the shape keeps these too.
+
     A stoplist entry with a digit in it may remove a surface, so under such
     a stoplist the surfaces are made and counted.
     """
-    digit_runs = _DIGITS_RE.findall(normalized)
-    if not digit_runs:
+    if not _DIGITS_RE.search(normalized):
         return _plain_count(normalized, stoplist)
     if _holds_digits(stoplist):
         return len(_own_surfaces(normalized, stoplist))
-    slots = len(_SLOT_RE.findall(normalized))
-    if not _capped(normalized, digit_runs):
-        return (1 + 2 * slots) * _forms(normalized)
-    count = 3**slots * _forms(normalized)
-    swapped = _swapped(normalized)
+    return _shape_count(_RUN_HEAD_RE.sub("", _DIGITS_RE.sub("1", normalized)))
+
+
+# All of a letter run but its last two characters.
+_RUN_HEAD_RE = re.compile(r"[^\W\d_]+(?=[^\W\d_]{2})")
+
+
+# Bounded, so a dump whose shapes never repeat does not grow it for the life
+# of the process; the generated dumps hold 63 shapes.
+@functools.lru_cache(maxsize=4096)
+def _shape_count(shape: str) -> int:
+    """The surface count of every name with a digit run whose shape is `shape`."""
+    slots = len(_SLOT_RE.findall(shape))
+    if not _capped(shape, _DIGITS_RE.findall(shape)):
+        return (1 + 2 * slots) * _forms(shape)
+    count = 3**slots * _forms(shape)
+    swapped = _swapped(shape)
     if swapped is not None:
         count += 3 ** len(_SLOT_RE.findall(swapped)) * _forms(swapped)
     return count
@@ -621,92 +645,8 @@ def _holds_digits(stoplist: frozenset[str]) -> bool:
     return any(_DIGITS_RE.search(entry) for entry in stoplist)
 
 
-def _count_batch(names: list[str], stoplist: frozenset[str]) -> array:
-    return array("I", [_surface_count(name, stoplist) for name in names])
-
-
-def _spare_cpus() -> int:
-    """The worker processes surface counting may use: one fewer than the
-    usable CPUs, and none where processes cannot be forked or the usable
-    CPUs cannot be read."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
-
-
-# Names with a digit run are counted this many at a time.
-_BATCH = 8192
 # The largest numeric id the build keeps in its 64-bit id array.
 _MAX_NUMERIC = 2**63 - 1
-
-
-class _SurfaceCounts:
-    """The number of surfaces each added name has on its own, in the order
-    the names were added.
-
-    A name without a digit run has at most two surfaces, itself and its
-    plural, and is counted at once. The names with one, which make most of
-    the surfaces, are counted by `_surface_count` in batches of `_BATCH`: a
-    full batch goes to a `fork` pool of `_spare_cpus()` workers, made when
-    the first batch fills; the last, partial batch, and every batch when
-    there is no spare CPU, is counted here. A count does not depend on the
-    process that made it. Leaving the `with` block ends the workers; an
-    error in one is raised by `counts`.
-    """
-
-    def __init__(self, stoplist: frozenset[str]):
-        self._stoplist = stoplist
-        self._counts = array("I")
-        self._batch: list[str] = []
-        self._slots = array("I")  # where the batch's counts go in `_counts`
-        self._sent: list[tuple[array, multiprocessing.pool.AsyncResult]] = []
-        self._workers = _spare_cpus()
-        self._pool = None
-
-    def __enter__(self) -> "_SurfaceCounts":
-        return self
-
-    def __exit__(self, exc_type, *_) -> None:
-        if self._pool is not None:
-            self._pool.close() if exc_type is None else self._pool.terminate()
-            self._pool.join()
-
-    def add(self, normalized: str, has_digits: bool) -> None:
-        if not has_digits:
-            self._counts.append(_plain_count(normalized, self._stoplist))
-            return
-        self._slots.append(len(self._counts))
-        self._counts.append(0)
-        self._batch.append(normalized)
-        if len(self._batch) < _BATCH:
-            return
-        if not self._workers:
-            self._count_here()
-            return
-        if self._pool is None:
-            # Imported here, as every command imports this module and few need
-            # a pool. A forked worker starts at once with the module as it is,
-            # and runs only `_count_batch`, which takes no lock a thread holds.
-            import multiprocessing
-
-            self._pool = multiprocessing.get_context("fork").Pool(self._workers)
-        task = self._pool.apply_async(_count_batch, (self._batch, self._stoplist))
-        self._sent.append((self._slots, task))
-        self._batch, self._slots = [], array("I")
-
-    def counts(self) -> array:
-        self._count_here()
-        for slots, task in self._sent:
-            self._fill(slots, task.get())
-        return self._counts
-
-    def _count_here(self) -> None:
-        self._fill(self._slots, _count_batch(self._batch, self._stoplist))
-        self._batch, self._slots = [], array("I")
-
-    def _fill(self, slots: array, counts: array) -> None:
-        for slot, count in zip(slots, counts):
-            self._counts[slot] = count
 
 
 def _tally(
@@ -750,12 +690,10 @@ def build_index(
     """Build the surface index from parsed dump rows.
 
     Each row, in dump order: stoplist filter, normalize, record, and count
-    the name's own surfaces (numeric variants, plurals). The names with a
-    digit run are counted in worker processes while the rows are still being
-    read, when the dump fills a batch and the machine has a spare CPU
-    (`_SurfaceCounts`); the index is the same whichever process counts. A
-    name alone in its spelling group keeps its count; the names of a larger
-    group are claimed together, in dump order. When two chemicals claim one
+    the name's own surfaces (numeric variants, plurals) by formula, once per
+    shape for the names with a digit run (`_surface_count`). A name alone in
+    its spelling group keeps its count; the names of a larger group are
+    claimed together, in dump order. When two chemicals claim one
     surface, the claim backed by a primary NAME row beats synonym claims,
     then the numerically smaller identifier wins; every collision is counted.
     Identifiers come out as `CHEBI:<int>`.
@@ -764,37 +702,37 @@ def build_index(
     # An id's preferred name is its first NAME row's, else its first synonym's.
     names: dict[int, str] = {}
     synonyms: dict[int, str] = {}
-    # Each record's spelling group, hashed, and its numeric id. A 32-bit hash
-    # lets a few groups share one, which claims them together and so changes
-    # nothing; it keeps the array, and the ints `_tally` sorts, small.
-    groups, numerics = array("I"), array("q")
+    # Each record's own surface count, its spelling group, hashed, and its
+    # numeric id. A 32-bit hash lets a few groups share one, which claims them
+    # together and so changes nothing; it keeps the array, and the ints
+    # `_tally` sorts, small.
+    counts, groups, numerics = array("I"), array("I"), array("q")
     last_id = None
-    with _SurfaceCounts(stoplist) as counter:
-        for chebi_id, name, name_type in rows:
-            normalized = normalize(name)
-            if normalized in stoplist:
-                continue
-            rank = 0 if name_type == "NAME" else 1
-            if chebi_id != last_id:  # a dump lists an id's names together
-                numeric, last_id = int(chebi_id[6:]), chebi_id
-                if numeric > _MAX_NUMERIC:
-                    raise LexiconSourceError(f"{chebi_id}: identifier too large to index")
-            if rank == 0:
-                names.setdefault(numeric, name)
-            elif numeric not in names:
-                synonyms.setdefault(numeric, name)
-            if normalized.isalpha():  # the name is its own letters, with no digit
-                letters, digits = normalized, ""
-            else:
-                letters = _NON_LETTERS_RE.sub("", normalized)
-                digits = ",".join(_DIGITS_RE.findall(normalized))
-            # `normalize` folds all whitespace, so a name holds no tab or newline.
-            records.append(f"{letters}\t{digits}\t{normalized}\t{numeric}\t{rank}")
-            # Every ending a plural adds or replaces is made of these letters.
-            groups.append(hash((letters.rstrip("seiy"), digits)) & 0xFFFFFFFF)
-            numerics.append(numeric)
-            counter.add(normalized, digits != "")
-        counts = counter.counts()
+    for chebi_id, name, name_type in rows:
+        normalized = normalize(name)
+        if normalized in stoplist:
+            continue
+        rank = 0 if name_type == "NAME" else 1
+        if chebi_id != last_id:  # a dump lists an id's names together
+            numeric, last_id = int(chebi_id[6:]), chebi_id
+            if numeric > _MAX_NUMERIC:
+                raise LexiconSourceError(f"{chebi_id}: identifier too large to index")
+        if rank == 0:
+            names.setdefault(numeric, name)
+        elif numeric not in names:
+            synonyms.setdefault(numeric, name)
+        if normalized.isalpha():  # the name is its own letters, with no digit
+            letters, digits = normalized, ""
+        else:
+            letters = _NON_LETTERS_RE.sub("", normalized)
+            digits = ",".join(_DIGITS_RE.findall(normalized))
+        # `normalize` folds all whitespace, so a name holds no tab or newline.
+        records.append(f"{letters}\t{digits}\t{normalized}\t{numeric}\t{rank}")
+        # Every ending a plural adds or replaces is made of these letters.
+        groups.append(hash((letters.rstrip("seiy"), digits)) & 0xFFFFFFFF)
+        numerics.append(numeric)
+        counts.append(_surface_count(normalized, stoplist) if digits
+                      else _plain_count(normalized, stoplist))
     # In dump order within each group: the collision count depends on it.
     surface_count, collisions, owners = _tally(records, counts, groups, numerics, stoplist)
     del counts, groups, numerics  # freed before the sort and the name map below

@@ -158,10 +158,9 @@ def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
 
 
 def _peak_rss_mb() -> float:
-    """The high-water mark so far of this process's resident memory, or of
-    a child it waited for (build-lexicon's workers), in MB. Under `run-all`
-    it may be an earlier stage's."""
-    kib = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    """The high-water mark so far of this process's resident memory, in MB.
+    Under `run-all` it may be an earlier stage's."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return round(kib * 1024 / 1e6, 1)  # Linux counts `ru_maxrss` in KiB
 
 
@@ -263,13 +262,17 @@ def workdir_lock(workdir: Path):
             pass
 
 
-def _read_records(path: Path) -> list[AbstractRecord]:
-    return read_jsonl(
-        path,
-        lambda obj: AbstractRecord(**obj),
-        "an abstract record",
-        "delete it and rerun the stage that writes it",
-    )
+_FILTERED_REMEDY = "delete it and rerun filter"
+
+
+def _read_records(path: Path, remedy: str) -> list[AbstractRecord]:
+    return read_jsonl(path, lambda obj: AbstractRecord(**obj), "an abstract record", remedy)
+
+
+def _corpus_remedy(cfg: PipelineConfig) -> str:
+    """What to do about an unreadable `abstracts.jsonl`. Only a fetch from an
+    endpoint writes it; without one it is the user's corpus to mend."""
+    return "delete it and rerun fetch" if cfg.api_endpoint else "replace it, or set api.endpoint"
 
 
 def _read_table(path: Path) -> HazardTable:
@@ -309,7 +312,7 @@ def stage_fetch(cfg: PipelineConfig) -> StageResult:
     def work() -> dict:
         if not cfg.api_endpoint:
             log.info("fetch: no endpoint configured, adopting existing %s", out)
-            return {"kept": len(_read_records(out)), "adopted": True}
+            return {"kept": len(_read_records(out, _corpus_remedy(cfg))), "adopted": True}
         from .epmc import FIRST_CURSOR, DecodeError, EuropePmcClient, FetchError
 
         raw_path = area / "raw_records.jsonl"
@@ -439,7 +442,7 @@ def stage_filter(cfg: PipelineConfig, food_name: str) -> StageResult:
     out = area / f"filtered__{food_name}.jsonl"
 
     def work() -> dict:
-        records = _read_records(src)
+        records = _read_records(src, _corpus_remedy(cfg))
         kept = list(filter_by_food(records, food))
         write_jsonl(out, kept)
         return {"input": len(records), "matched": len(kept)}
@@ -491,7 +494,7 @@ def stage_extract(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> St
         }
 
     def work() -> dict:
-        records = _read_records(src)
+        records = _read_records(src, _FILTERED_REMEDY)
         # The store exists even when no prompt was answered, so `link` runs on
         # an empty corpus as on any other.
         out.touch()
@@ -547,7 +550,7 @@ def stage_link(cfg: PipelineConfig, food_name: str, style: PromptStyle) -> Stage
         from .prompting import ResponseStore
         from .response_parser import RECOVERED, UNPARSEABLE, WELL_FORMED
 
-        records = {r.record_key: r for r in _read_records(filtered_path)}
+        records = {r.record_key: r for r in _read_records(filtered_path, _FILTERED_REMEDY)}
         responses = ResponseStore(responses_path).load()
         index = LexiconIndex.load(index_path)
         status_counts = {WELL_FORMED: 0, RECOVERED: 0, UNPARSEABLE: 0}

@@ -20,10 +20,14 @@ from unittest import mock
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+from hypothesis import settings
 
 from hazardex.cli import main
 from hazardex.corpus import RawRecord, clean_record
 from hazardex.prompting import PromptStyle, fixture_filename
+
+# `pytest --hypothesis-profile=ci` draws 2,000 examples per property, not 100.
+settings.register_profile("ci", max_examples=2000)
 
 # --------------------------------------------------------------------------
 # acceptance criterion reporting

@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import logging
-import multiprocessing
 import os
 import re
 import shutil
@@ -224,6 +223,31 @@ class TestFetchCommand:
         assert len(rows) == 25
         assert set(rows[0]) == {"doi", "title", "abstract_text", "publication_year", "record_key"}
         assert len(stub.requests) == 3
+
+    def test_a_damaged_corpus_names_fetch(self, tmp_path, stub_api):
+        stub = stub_api([provider_record(i) for i in range(25)])
+        config, workdir = fetch_workspace(tmp_path, stub.url)
+        config.write_text(config.read_text("utf-8") + "foods:\n  dairy: [dairy]\n", "utf-8")
+        assert invoke("--config", config, "fetch").exit_code == 0
+        path = workdir / "abstracts" / "abstracts.jsonl"
+        fetched = path.read_bytes()
+        path.write_bytes(fetched + b"not a record\n")
+        refused = invoke("--config", config, "filter", "--food", "dairy")
+        assert refused.exit_code == 2
+        assert refused.stderr.startswith(f"error: {path}: line 26 is not an abstract record")
+        assert refused.stderr.endswith("; delete it and rerun fetch\n")
+        path.unlink()
+        assert invoke("--config", config, "fetch").exit_code == 0
+        assert path.read_bytes() == fetched
+        result = invoke("--config", config, "filter", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+
+    def test_a_damaged_adopted_corpus_is_the_users_to_mend(self, workspace):
+        path = workspace["workdir"] / "abstracts" / "abstracts.jsonl"
+        path.write_bytes(path.read_bytes() + b"not a record\n")
+        refused = invoke("--config", workspace["config"], "fetch")
+        assert refused.exit_code == 2
+        assert refused.stderr.endswith("; replace it, or set api.endpoint\n")
 
     def test_rerun_is_a_no_op(self, tmp_path, stub_api):
         stub = stub_api([provider_record(i) for i in range(25)])
@@ -504,32 +528,42 @@ class TestStageCommands:
         assert result.stderr == f"error: {where}; {remedy}\n"
         assert tree() == before
 
-    def test_an_error_in_a_counting_worker_is_one_error_line(self, workspace, monkeypatch):
-        """build-lexicon counts surfaces in worker processes when the dump
-        fills a batch: an exception in a worker reaches the CLI as one
-        `error:` line, and no worker outlives a build, failed or not."""
+    def test_an_error_while_counting_surfaces_is_one_error_line(self, workspace, monkeypatch):
+        """build-lexicon counts surfaces in its own process: an exception
+        there reaches the CLI as one `error:` line and leaves no index."""
         from hazardex import lexicon
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(lexicon, "_BATCH", 1)
-        parent, real = os.getpid(), lexicon._surface_count
-
         def surface_count(normalized, stoplist):
-            if os.getpid() != parent:
-                raise ValueError("worker failed")
-            return real(normalized, stoplist)
+            raise ValueError("counting failed")
 
         monkeypatch.setattr(lexicon, "_surface_count", surface_count)
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert result.exit_code == 2
-        assert result.stderr == "error: ValueError: worker failed\n"
-        assert multiprocessing.active_children() == []
+        assert result.stderr == "error: ValueError: counting failed\n"
         assert not (workspace["workdir"] / "lexicon" / "index.jsonl").exists()
 
-        monkeypatch.setattr(lexicon, "_surface_count", real)
+        monkeypatch.undo()
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert result.exit_code == 0, result.output
-        assert multiprocessing.active_children() == []
+
+    def test_a_damaged_filtered_corpus_names_filter(self, workspace):
+        """The error names the stage that writes the file, and doing what it
+        says lets extract run."""
+        config = workspace["config"]
+        for args in (["fetch"], ["filter", "--food", "dairy"]):
+            assert invoke("--config", config, *args).exit_code == 0, args
+        path = workspace["workdir"] / "abstracts" / "filtered__dairy.jsonl"
+        path.write_bytes(path.read_bytes() + b"not a record\n")
+        refused = invoke("--config", config, "extract", "--food", "dairy")
+        assert refused.exit_code == 2
+        (error,) = [line for line in refused.stderr.splitlines() if line.startswith("error:")]
+        assert re.fullmatch(
+            rf"error: {re.escape(str(path))}: line \d+ is not an abstract record .+; "
+            "delete it and rerun filter", error), error
+        path.unlink()
+        for args in (["filter", "--food", "dairy"], ["extract", "--food", "dairy"]):
+            result = invoke("--config", config, *args)
+            assert result.exit_code == 0, result.output
 
     def test_unknown_food_is_a_usage_error(self, workspace):
         result = invoke("--config", workspace["config"], "filter", "--food", "durian")
@@ -701,6 +735,35 @@ class TestStageCommands:
         rebuilt = invoke("--config", config, "build-lexicon")
         assert rebuilt.exit_code == 0, rebuilt.output
         assert "up to date" not in rebuilt.output
+        result = invoke("--config", config, "run-all", "--food", "dairy")
+        assert result.exit_code == 0, result.output
+        fresh = make_workspace(tmp_path / "fresh")
+        assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
+        assert report_bytes(workspace["workdir"]) == report_bytes(fresh["workdir"])
+
+    def test_an_index_whose_version_is_edited_is_rebuilt_by_following_the_remedy(
+        self, workspace, tmp_path
+    ):
+        """The edit keeps the index's size and every input of build-lexicon,
+        so build-lexicon alone finds it up to date; the header's checksum
+        tells the edit from an older build, and the remedy is followed once."""
+        from hazardex.lexicon import INDEX_VERSION
+
+        config = workspace["config"]
+        assert invoke("--config", config, "run-all", "--food", "dairy").exit_code == 0
+        index_path = workspace["workdir"] / "lexicon" / "index.jsonl"
+        blob = index_path.read_bytes()
+        version = f'"version": {INDEX_VERSION}'.encode()
+        index_path.write_bytes(blob.replace(version, f'"version": {INDEX_VERSION + 1}'.encode(), 1))
+        assert index_path.stat().st_size == len(blob)
+        refused = invoke("--config", config, "run-all", "--food", "dairy")
+        assert refused.exit_code == 2
+        (error,) = [line for line in refused.stderr.splitlines() if line.startswith("error:")]
+        remedy = error.rpartition("; ")[2]
+        if remedy.startswith("delete it and "):
+            index_path.unlink()
+        assert remedy.endswith("rerun build-lexicon"), error
+        assert invoke("--config", config, "build-lexicon").exit_code == 0
         result = invoke("--config", config, "run-all", "--food", "dairy")
         assert result.exit_code == 0, result.output
         fresh = make_workspace(tmp_path / "fresh")

@@ -321,4 +321,4 @@ class TestRecordSerialization:
     def test_round_trip(self, tmp_path):
         rec = clean_record(make_raw(LONG_BODY, doi=None))
         write_jsonl(tmp_path / "records.jsonl", [rec])
-        assert _read_records(tmp_path / "records.jsonl") == [rec]
+        assert _read_records(tmp_path / "records.jsonl", "delete it and rerun filter") == [rec]

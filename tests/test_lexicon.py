@@ -7,8 +7,6 @@ from __future__ import annotations
 import gzip
 import io
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
 import random
 import tracemalloc
@@ -203,12 +201,30 @@ class TestSurfacesFor:
             assert surfaces_for(name) == expected, name
 
 
+_LETTERS = "abcshyxzABSYé²αβγ"
+_DIGITS = "0129١"
+_OTHERS = " -,()'"
+
+
+@st.composite
+def run_names(draw):
+    """Names put together from runs: letters, digits, separators and the
+    punctuation of chemical names. Letter pieces that meet make longer runs."""
+    pieces = st.one_of(
+        st.text(alphabet=_LETTERS, min_size=1, max_size=6),
+        st.text(alphabet=_DIGITS, min_size=1, max_size=3),
+        st.sampled_from([*_OTHERS, " - "]),
+    )
+    return "".join(draw(st.lists(pieces, max_size=8)))
+
+
 class TestSurfaceCount:
-    """The build counts a name's own surfaces without making them; the count
-    is the size of the set a lookup makes."""
+    """The build counts a name's own surfaces without making them, once per
+    shape; the count is the size of the set a lookup makes."""
 
     @settings(deadline=None)
-    @given(st.text(alphabet="abcshyxzABSYé²αβγ0129١ -", max_size=16), st.data())
+    @given(st.one_of(st.text(alphabet=_LETTERS + _DIGITS + _OTHERS, max_size=24), run_names()),
+           st.data())
     def test_any_name_under_any_stoplist(self, name, data):
         own = sorted(_surfaces(name))
         stopped = frozenset(data.draw(st.lists(st.sampled_from(own), max_size=3)))
@@ -216,6 +232,16 @@ class TestSurfaceCount:
         # whenever the name does, and "x1" always does.
         for stoplist in (frozenset(), default_stoplist(), stopped, stopped | {"x1"}):
             assert _surface_count(name, stoplist) == len(_own_surfaces(name, stoplist)), stoplist
+
+    def test_random_names_with_a_digit_run(self):
+        rng = random.Random(2026)
+        names = {normalize(random_digit_name(rng)) for _ in range(5000)}
+        swapped = {n for n in names if lexicon._capped(n, lexicon._DIGITS_RE.findall(n))
+                   and lexicon._swapped(n) is not None}
+        assert len(swapped) > 500
+        assert sum(any(ch in n for ch in ",()'") for n in swapped) > 100
+        for name in names:
+            assert _surface_count(name, frozenset()) == len(_own_surfaces(name, frozenset())), name
 
     def test_seeded_dump_names(self):
         stoplist = default_stoplist()
@@ -928,6 +954,18 @@ class TestGroupedClaim:
     def test_clashing_rows_match_the_global_claim(self, rows, stoplist):
         _check_against_the_global_claim(rows, stoplist)
 
+    def test_groups_that_share_a_hash_build_the_same_index(self, monkeypatch, tmp_path):
+        """Spelling groups are found by a hash of the group; groups whose
+        hashes agree are claimed together, here every group at once."""
+        rows = _seeded_dump_rows()
+        blobs = []
+        for _ in range(2):
+            path = tmp_path / f"{len(blobs)}.jsonl"
+            build_index(rows, default_stoplist()).save(path)
+            blobs.append(path.read_bytes())
+            monkeypatch.setattr(lexicon, "hash", lambda text: 7, raising=False)
+        assert blobs[0] == blobs[1]
+
     def test_build_peak_is_under_half_of_the_global_claim(self):
         # A ratio of two peaks on one input, so it does not depend on the machine.
         rows = _seeded_dump_rows()
@@ -947,72 +985,23 @@ class TestGroupedClaim:
         assert built < global_claim / 2, (built, global_claim)
 
 
-class TestWorkerCounts:
-    """Counting surfaces in worker processes changes nothing but the time."""
+class TestDigitStoplist:
+    """A stoplist with a digit in an entry has the surfaces of names with a
+    digit run made and counted, not worked out by shape."""
 
-    @staticmethod
-    def use_cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    @staticmethod
-    def spy_pools(monkeypatch):
-        made = []
-
-        class Spy(multiprocessing.pool.Pool):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
-        # `multiprocessing` contexts look the class up here on every call.
-        monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
-        return made
-
-    def test_workers_and_inline_counting_build_the_same_index(self, monkeypatch, tmp_path):
+    def test_a_digit_stoplist_builds_what_the_global_claim_builds(self, tmp_path):
         rows = _seeded_dump_rows()
         normalized = [normalize(name) for _, name, _ in rows]
         with_digits = [n for n in normalized if not _spelling_key(n).endswith("\t")]
         # Stoplist a spelling of some names with a digit run, besides the defaults.
         extra = {min(_surfaces(n) - {n}) for n in with_digits if len(_surfaces(n)) > 1}
-        extra = set(sorted(extra)[:40])
-        stoplist = default_stoplist() | extra
-        monkeypatch.setattr(lexicon, "_BATCH", 32)
-        assert len(with_digits) > 5 * 32
-        built = {}
-        for cpus in (1, 2):
-            self.use_cpus(monkeypatch, cpus)
-            pools = self.spy_pools(monkeypatch)
-            index = build_index(rows, stoplist)
-            path = tmp_path / f"{cpus}.jsonl"
-            index.save(path)
-            assert LexiconIndex.load(path).stats == index.stats
-            # One pool, the build's, with a spare CPU: a load counts nothing.
-            assert len(pools) == cpus - 1, cpus
-            assert multiprocessing.active_children() == []
-            built[cpus] = (index.stats, path.read_bytes())
-        assert built[1] == built[2]
-        stats = built[1][0]
-        assert stats.collisions > 100
-        assert stats.surface_count < build_index(rows, default_stoplist()).stats.surface_count
-
-    def test_a_dump_that_fills_no_batch_starts_no_pool(self, monkeypatch):
-        self.use_cpus(monkeypatch, 2)
-        pools = self.spy_pools(monkeypatch)
-        rows = _seeded_dump_rows()
-        index = build_index(rows, default_stoplist())
-        assert index.stats.surface_count > 0
-        assert pools == []
-
-    def test_groups_that_share_a_hash_build_the_same_index(self, monkeypatch, tmp_path):
-        """Spelling groups are found by a hash of the group; groups whose
-        hashes agree are claimed together, here every group at once."""
-        rows = _seeded_dump_rows()
-        blobs = []
-        for _ in range(2):
-            path = tmp_path / f"{len(blobs)}.jsonl"
-            build_index(rows, default_stoplist()).save(path)
-            blobs.append(path.read_bytes())
-            monkeypatch.setattr(lexicon, "hash", lambda text: 7, raising=False)
-        assert blobs[0] == blobs[1]
+        stoplist = default_stoplist() | set(sorted(extra)[:40])
+        index = _check_against_the_global_claim(rows, stoplist)
+        path = tmp_path / "index.jsonl"
+        index.save(path)
+        assert LexiconIndex.load(path).stats == index.stats
+        assert index.stats.collisions > 100
+        assert index.stats.surface_count < build_index(rows, default_stoplist()).stats.surface_count
 
 
 # --------------------------------------------------------------------------

@@ -43,14 +43,15 @@ written "1" and each letter run cut to its last two characters. Names with a
 digit run make most of the surfaces, and many share a shape, so each shape
 is worked out once. The build runs in one process.
 
-`LexiconIndex.load` checks the header and the body against their checksums,
-so a torn, cut or edited file is an `IndexFormatError`, and keeps the bytes.
-The first `lookup` of a surface binary-searches the sorted records for its
-candidate keys, computing the key of each name it probes (its letters
-first, its digits only when the letters tie), claims the names it finds
-and keeps only that surface's owner; a preferred name is binary-searched
-among the identifier lines. A built index makes its surface map from its
-records on its first `lookup`.
+`build_index` ends by encoding the index as `save` writes it, and
+`LexiconIndex.load` checks the header and the body of a saved one against
+their checksums, so a torn, cut or edited file is an `IndexFormatError`.
+Either way the index keeps the bytes and nothing else. The first `lookup`
+of a surface binary-searches the sorted records for its candidate keys,
+computing the key of each name it probes (its letters first, its digits
+only when the letters tie), claims the names it finds and keeps only that
+surface's owner; a preferred name is binary-searched among the identifier
+lines.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "hazardex-lexicon"
 INDEX_VERSION = 4
-# Damage that keeps the index's size leaves build-lexicon up to date, so the
-# remedy deletes the index first; build-lexicon signs `INDEX_VERSION` itself.
+# The remedy for a damaged index: deleting it first rebuilds it whatever its
+# manifest records. build-lexicon signs `INDEX_VERSION` itself, so an older
+# build needs only the rerun.
 _REBUILD = "delete it and rerun build-lexicon"
 
 _WS_RE = re.compile(r"\s+")
@@ -283,40 +285,28 @@ class IndexStats:
 
 
 class LexiconIndex:
-    """Immutable surface → identifier map with per-identifier display names.
+    """Surface → identifier lookups over the bytes of a saved index.
 
-    A built index holds the sorted name `records`, each led by its spelling
-    key, and the `stoplist` they are expanded under; `save` writes both, the
-    records without their key, and its first `lookup` claims every record's
-    surfaces into one map. A loaded index holds the saved bytes instead and
-    cannot be saved: a lookup searches them for the names that can spell the
-    surface asked, computing the spelling key of each name it probes, and
-    keeps that surface's owner and nothing else, since the other surfaces of
-    those names may have claimants it did not find. A preferred name is
-    binary-searched among the identifier lines each time it is asked for.
+    `build_index` and `load` make the same index: the header, the bytes
+    `save` writes, and the offsets where the name records and the identifier
+    lines start. A lookup searches the records for the names that can spell
+    the surface asked, computing the spelling key of each name it probes,
+    claims those names and keeps that surface's owner and nothing else,
+    since the other surfaces of those names may have claimants it did not
+    find. A preferred name is binary-searched among the identifier lines
+    each time it is asked for.
     """
 
-    def __init__(
-        self,
-        id_to_name: dict[str, str],
-        stats: IndexStats,
-        source_checksum: str = "",
-        records: list[str] | None = None,
-        stoplist: frozenset[str] = frozenset(),
-        saved: tuple[bytes, int, int] | None = None,
-    ):
-        self._id_to_name = id_to_name
-        self.stats = stats
-        self.source_checksum = source_checksum
-        self._records = records
-        self._stoplist = stoplist
-        self._saved = saved  # the bytes, and where the records and the id lines start
-        if saved is not None:
-            self._claims: dict[str, tuple[int, int, str] | None] = {}
-
-    @functools.cached_property
-    def _claims(self) -> dict[str, tuple[int, int, str]]:
-        return _claim(map(_parse_record, self._records), self._stoplist)[0]
+    def __init__(self, header: dict, blob: bytes | bytearray, body_start: int, ids_start: int):
+        self.stats = IndexStats(
+            entry_count=header.get("entry_count"),
+            surface_count=header.get("surface_count"),
+            collisions=header.get("collisions", 0),
+            skipped_rows=header.get("skipped_rows", 0),
+        )
+        self._stoplist = frozenset(header.get("stoplist", ()))
+        self._blob, self._body_start, self._ids_start = blob, body_start, ids_start
+        self._answers: dict[str, tuple[int, int, str] | None] = {}
 
     def lookup(self, surface: str) -> str | None:
         # Keys are normalized, so a raw hit can only be an already-normal form;
@@ -325,66 +315,26 @@ class LexiconIndex:
         return None if claim is None else claim[2]
 
     def _claim_of(self, surface: str) -> tuple[int, int, str] | None:
-        if self._saved is None or surface in self._claims:
-            return self._claims.get(surface)
-        blob, body_start, ids_start = self._saved
-        found = _spelling_records(blob, body_start, ids_start - 1, surface)
-        claim = self._claims[surface] = _claim(found, self._stoplist)[0].get(surface)
+        if surface in self._answers:
+            return self._answers[surface]
+        found = _spelling_records(self._blob, self._body_start, self._ids_start - 1, surface)
+        claim = self._answers[surface] = _claim(found, self._stoplist)[0].get(surface)
         return claim
 
     def preferred_name(self, chebi_id: str) -> str:
-        name = self._id_to_name.get(chebi_id)
-        if name is None and self._saved is not None:
-            blob, _, ids_start = self._saved
-            name = _preferred(blob, ids_start, chebi_id)
+        name = _preferred(self._blob, self._ids_start, chebi_id)
         return chebi_id if name is None else name
 
     def save(self, path: str | Path) -> None:
         """Write the artifact; a crash leaves the previous file (`atomic_open`)."""
-        if self._records is None:
-            raise ValueError(f"not saving a partly loaded index over {path}")
-        encode = json.JSONEncoder(ensure_ascii=False).encode
-        names = b"".join(_encoded(
-            f"{chebi_id[6:]}\t{encode(self._id_to_name[chebi_id])}"
-            for chebi_id in sorted(self._id_to_name, key=chebi_numeric)
-        ))
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "source_sha256": self.source_checksum,
-            **vars(self.stats),
-            "stoplist": sorted(self._stoplist),
-            "body_sha256": _UNKNOWN_SHA256,
-        }
-        digest = hashlib.sha256()
         with atomic_open(path, "wb") as fh:
-            # The body is hashed as it is written, one chunk of records at a
-            # time, so the header goes first with stand-in digests and is
-            # written again over them: a digest is 64 hex digits either way.
-            fh.write(_header_line({**header, "header_sha256": _UNKNOWN_SHA256}))
-            records = _encoded(record.split("\t", 2)[2] for record in self._records)
-            for chunk in itertools.chain(records, (b"\n", names)):
-                digest.update(chunk)
-                fh.write(chunk)
-            header["body_sha256"] = digest.hexdigest()
-            header["header_sha256"] = _fields_sha256(header)
-            fh.seek(0)
-            fh.write(_header_line(header))
+            fh.write(self._blob)
 
     @classmethod
     def load(cls, path: str | Path) -> "LexiconIndex":
         """Read a saved index whose body matches its checksum; its surfaces
         and names are found when they are asked for."""
-        header, blob, body_start, ids_start = _read_artifact(Path(path))
-        stats = IndexStats(
-            entry_count=header.get("entry_count"),
-            surface_count=header.get("surface_count"),
-            collisions=header.get("collisions", 0),
-            skipped_rows=header.get("skipped_rows", 0),
-        )
-        return cls({}, stats, header.get("source_sha256", ""),
-                   stoplist=frozenset(header.get("stoplist", ())),
-                   saved=(blob, body_start, ids_start))
+        return cls(*_read_artifact(Path(path)))
 
 
 def _spelling_key(text: str) -> str:
@@ -448,9 +398,10 @@ def _line_before(line: bytes, letters: str, digits: str) -> bool:
 
 
 def _encoded(lines: Iterable[str]) -> Iterator[bytes]:
-    """`lines`, each ended by a newline, UTF-8 encoded a few thousand at a time."""
+    """`lines`, each ended by a newline, UTF-8 encoded a few hundred at a
+    time, so a chunk in flight adds little to the buffer it goes into."""
     it = iter(lines)
-    while chunk := list(itertools.islice(it, 4096)):
+    while chunk := list(itertools.islice(it, 256)):
         chunk.append("")
         yield "\n".join(chunk).encode("utf-8")
 
@@ -696,7 +647,9 @@ def build_index(
     claimed together, in dump order. When two chemicals claim one
     surface, the claim backed by a primary NAME row beats synonym claims,
     then the numerically smaller identifier wins; every collision is counted.
-    Identifiers come out as `CHEBI:<int>`.
+    Identifiers come out as `CHEBI:<int>`. The index is encoded as it is
+    saved, header, records and identifier lines in one buffer, and answers
+    from those bytes as a loaded one does.
     """
     records: list[str] = []
     # An id's preferred name is its first NAME row's, else its first synonym's.
@@ -735,7 +688,7 @@ def build_index(
                       else _plain_count(normalized, stoplist))
     # In dump order within each group: the collision count depends on it.
     surface_count, collisions, owners = _tally(records, counts, groups, numerics, stoplist)
-    del counts, groups, numerics  # freed before the sort and the name map below
+    del counts, groups, numerics  # freed before the sort and the encoding below
     if not surface_count:
         raise LexiconSourceError("no entries survived the build; check the dump and stoplist")
     # Sorting as text sorts by spelling key first, since the tab that ends a
@@ -743,14 +696,33 @@ def build_index(
     records.sort()
     for numeric, name in synonyms.items():
         names.setdefault(numeric, name)
-    id_to_name = {f"CHEBI:{numeric}": names[numeric] for numeric in owners}
-    stats = IndexStats(
-        entry_count=len(id_to_name),
-        surface_count=surface_count,
-        collisions=collisions,
-        skipped_rows=parse_stats.skipped if parse_stats else 0,
-    )
-    return LexiconIndex(id_to_name, stats, source_checksum, records, stoplist)
+    fields = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "source_sha256": source_checksum,
+        "entry_count": len(owners),
+        "surface_count": surface_count,
+        "collisions": collisions,
+        "skipped_rows": parse_stats.skipped if parse_stats else 0,
+        "stoplist": sorted(stoplist),
+        "body_sha256": _UNKNOWN_SHA256,
+    }
+    # The header goes first with stand-in digests, which are written over
+    # in place once the body is hashed: a digest is 64 hex digits either way.
+    blob = bytearray(_header_line({**fields, "header_sha256": _UNKNOWN_SHA256}))
+    body_start = len(blob)
+    for chunk in _encoded(record.split("\t", 2)[2] for record in records):
+        blob += chunk
+    del records
+    blob += b"\n"
+    ids_start = len(blob)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for chunk in _encoded(f"{numeric}\t{encode(names[numeric])}" for numeric in sorted(owners)):
+        blob += chunk
+    fields["body_sha256"] = hashlib.sha256(memoryview(blob)[body_start:]).hexdigest()
+    header = {**fields, "header_sha256": _fields_sha256(fields)}
+    blob[:body_start] = _header_line(header)
+    return LexiconIndex(header, blob, body_start, ids_start)
 
 
 def header_sha256(path: str | Path) -> str:

@@ -5,12 +5,12 @@ stage whose input is missing before hashing or writing anything, naming the
 command that makes the input or the config key that names it. Otherwise it
 digests every input itself, so no stage reads a file its signature leaves
 out, and writes the stage's outputs, making their directories, plus a
-manifest recording those digests with what else the stage reads, the byte
-sizes of its outputs, its counts and its timing; rerunning a stage whose
-inputs are unchanged, whose outputs keep those sizes and whose counts record
-no failures is a no-op. Fetching additionally keeps its own cursor state so
-an interrupted crawl resumes instead of refetching, and extraction skips
-every (abstract, style) pair the response store already holds. All data goes to files under the workdir, written through
+manifest recording those digests with what else the stage reads, the
+sha256 of its outputs, its counts and its timing; rerunning a stage whose
+inputs are unchanged, whose outputs keep those digests and whose counts
+record no failures is a no-op. Fetching additionally keeps its own cursor
+state so an interrupted crawl resumes instead of refetching, and extraction
+skips every (abstract, style) pair the response store already holds. All data goes to files under the workdir, written through
 `artifacts`; a `.lock` file keeps concurrent runs off the same workdir.
 
 Each CLI command runs one stage in a fresh interpreter, so this module loads
@@ -136,14 +136,13 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-def _output_sizes(outputs) -> dict[str, int | None]:
-    return {p.name: p.stat().st_size if p.exists() else None for p in map(Path, outputs)}
+def _output_sha256(outputs) -> dict[str, str | None]:
+    return {p.name: file_sha256(p) if p.exists() else None for p in map(Path, outputs)}
 
 
 def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
     """Previous counts when the manifest matches the inputs, records no
-    failures, and every output still has the byte size the manifest recorded
-    (a stat, not a hash)."""
+    failures, and every output still has the sha256 the manifest recorded."""
     try:
         manifest = _read_json(manifest_path)
     except (OSError, json.JSONDecodeError):
@@ -151,8 +150,8 @@ def _fresh(manifest_path: Path, signature, outputs) -> dict | None:
     counts = manifest.get("counts", {})
     if manifest.get("input_hashes") != _canon(signature) or counts.get("failed"):
         return None
-    sizes = _output_sizes(outputs)
-    if None in sizes.values() or manifest.get("output_sizes") != sizes:
+    digests = _output_sha256(outputs)
+    if None in digests.values() or manifest.get("output_sha256") != digests:
         return None
     return counts
 
@@ -187,7 +186,7 @@ def _stage(name: str, manifest: Path, inputs, fields, outputs: list[Path], work)
     defaults to `file_sha256`. Skip the stage when `_fresh` says so;
     otherwise make the output directories, and `work()` writes the outputs
     and returns the counts, which the manifest records with the signature,
-    the output sizes and when the work started and finished. The count
+    the output digests and when the work started and finished. The count
     "failed" is the result's number of partial failures."""
     found = [(_found(path, remedy), digest[0] if digest else file_sha256)
              for path, remedy, *digest in inputs]
@@ -207,7 +206,7 @@ def _stage(name: str, manifest: Path, inputs, fields, outputs: list[Path], work)
         {
             "stage": name,
             "input_hashes": _canon(sig),
-            "output_sizes": _output_sizes(outputs),
+            "output_sha256": _output_sha256(outputs),
             "started_at": started,
             "finished_at": _now(),
             "duration_s": duration_s,

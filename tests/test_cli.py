@@ -616,12 +616,15 @@ class TestStageCommands:
         lexicon_dir = workspace["workdir"] / "lexicon"
         index_path = lexicon_dir / "index.jsonl"
         built = index_path.read_bytes()
-        # What a version-3 build left: its index, and its manifest.
+        # What a version-3 build left: its index, and its manifest, which
+        # recorded the byte size of each output.
         index_path.write_bytes(oracle_index_v3(built))
         manifest_path = lexicon_dir / "build.manifest.json"
         manifest = json.loads(manifest_path.read_text("utf-8"))
         manifest["input_hashes"]["index_version"] = 3
-        manifest["output_sizes"]["index.jsonl"] = index_path.stat().st_size
+        del manifest["output_sha256"]
+        manifest["output_sizes"] = {p.name: p.stat().st_size
+                                    for p in (index_path, lexicon_dir / "build_report.json")}
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         # The index is not the one link recorded, so link loads it.
         refused = invoke("--config", workspace["config"], "link", "--food", "dairy")
@@ -713,11 +716,11 @@ class TestStageCommands:
         assert result.exit_code == 2
         assert "body does not match its checksum" in result.output
 
-    def test_an_index_edited_to_its_own_size_is_rebuilt_by_following_the_remedy(
+    def test_an_index_edited_to_its_own_size_is_refused_by_link_and_rebuilt_by_run_all(
         self, workspace, tmp_path
     ):
-        """The edit keeps the index's size, so build-lexicon alone would find
-        it up to date; the error asks for the index to go first."""
+        """The edit keeps the index's size, not its sha256: link alone names
+        the index and a remedy, and run-all rebuilds it first."""
         config = workspace["config"]
         for args in (["fetch"], ["build-lexicon"], ["filter", "--food", "dairy"],
                      ["extract", "--food", "dairy"]):
@@ -726,27 +729,24 @@ class TestStageCommands:
         blob = index_path.read_bytes()
         index_path.write_bytes(blob.replace(b'"cadmium"', b'"kadmium"'))
         assert index_path.stat().st_size == len(blob)
-        refused = invoke("--config", config, "run-all", "--food", "dairy")
+        refused = invoke("--config", config, "link", "--food", "dairy")
         assert refused.exit_code == 2
         assert [line for line in refused.stderr.splitlines() if line.startswith("error:")] == [
             f"error: {index_path}: body does not match its checksum; delete it and rerun build-lexicon"]
-        assert "up to date" in invoke("--config", config, "build-lexicon").output
-        index_path.unlink()
-        rebuilt = invoke("--config", config, "build-lexicon")
-        assert rebuilt.exit_code == 0, rebuilt.output
-        assert "up to date" not in rebuilt.output
         result = invoke("--config", config, "run-all", "--food", "dairy")
         assert result.exit_code == 0, result.output
+        assert "build-lexicon: up to date" not in result.output
+        assert index_path.read_bytes() == blob
         fresh = make_workspace(tmp_path / "fresh")
         assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
         assert report_bytes(workspace["workdir"]) == report_bytes(fresh["workdir"])
 
-    def test_an_index_whose_version_is_edited_is_rebuilt_by_following_the_remedy(
+    def test_an_index_whose_version_is_edited_is_refused_as_damage_and_rebuilt_by_run_all(
         self, workspace, tmp_path
     ):
-        """The edit keeps the index's size and every input of build-lexicon,
-        so build-lexicon alone finds it up to date; the header's checksum
-        tells the edit from an older build, and the remedy is followed once."""
+        """The edit keeps the index's size and every input of build-lexicon;
+        the header's checksum tells it from an older build when link loads
+        the index alone, and run-all rebuilds the index first."""
         from hazardex.lexicon import INDEX_VERSION
 
         config = workspace["config"]
@@ -756,26 +756,27 @@ class TestStageCommands:
         version = f'"version": {INDEX_VERSION}'.encode()
         index_path.write_bytes(blob.replace(version, f'"version": {INDEX_VERSION + 1}'.encode(), 1))
         assert index_path.stat().st_size == len(blob)
-        refused = invoke("--config", config, "run-all", "--food", "dairy")
+        refused = invoke("--config", config, "link", "--food", "dairy")
         assert refused.exit_code == 2
-        (error,) = [line for line in refused.stderr.splitlines() if line.startswith("error:")]
-        remedy = error.rpartition("; ")[2]
-        if remedy.startswith("delete it and "):
-            index_path.unlink()
-        assert remedy.endswith("rerun build-lexicon"), error
-        assert invoke("--config", config, "build-lexicon").exit_code == 0
+        assert [line for line in refused.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: {index_path}: header does not match its checksum; "
+            "delete it and rerun build-lexicon"]
         result = invoke("--config", config, "run-all", "--food", "dairy")
         assert result.exit_code == 0, result.output
+        assert "build-lexicon: up to date" not in result.output
+        assert index_path.read_bytes() == blob
         fresh = make_workspace(tmp_path / "fresh")
         assert invoke("--config", fresh["config"], "run-all", "--food", "dairy").exit_code == 0
         assert report_bytes(workspace["workdir"]) == report_bytes(fresh["workdir"])
 
-    def test_manifest_without_output_sizes_counts_as_stale(self, workspace):
+    def test_a_manifest_that_records_output_sizes_counts_as_stale(self, workspace):
         invoke("--config", workspace["config"], "run-all", "--food", "dairy")
         manifest = workspace["workdir"] / "lexicon" / "build.manifest.json"
         recorded = json.loads(manifest.read_text(encoding="utf-8"))
-        assert set(recorded["output_sizes"]) == {"index.jsonl", "build_report.json"}
-        del recorded["output_sizes"]
+        assert set(recorded["output_sha256"]) == {"index.jsonl", "build_report.json"}
+        # What an earlier build recorded: each output's byte size, not its sha256.
+        recorded["output_sizes"] = {name: (manifest.parent / name).stat().st_size
+                                    for name in recorded.pop("output_sha256")}
         manifest.write_text(json.dumps(recorded), encoding="utf-8")
         result = invoke("--config", workspace["config"], "build-lexicon")
         assert result.exit_code == 0, result.output
@@ -1263,13 +1264,22 @@ def test_crash_while_writing_the_abstracts_keeps_the_previous_file(tmp_path, stu
 
 
 # --------------------------------------------------------------------------
-# damage matrix: every file a finished run-all leaves, damaged three ways
+# damage matrix: every file a finished run-all leaves, damaged five ways
 # --------------------------------------------------------------------------
 
+
+def _flip_middle_bit(data: bytes) -> bytes:
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1 :]
+
+
+# The last two keep the file's size.
 _DAMAGES = {
     "cut_to_half": lambda data: data[: len(data) // 2],
     "garbage_line": lambda data: data + b"not a record\n",
     "emptied": lambda data: b"",
+    "first_byte_x": lambda data: b"X" + data[1:],
+    "middle_bit_flipped": _flip_middle_bit,
 }
 
 # Every file under the workdir after run-all on the E2E workspace. The
@@ -1345,20 +1355,43 @@ def test_a_damaged_file_is_one_error_line_or_reports_as_a_fresh_run(
     assert report_bytes(ws / "work") == expected
 
 
-def test_a_table_damaged_to_its_own_size_is_relinked_by_following_the_remedy(
+def test_a_table_damaged_to_its_own_size_is_refused_by_report_and_relinked_by_run_all(
     tmp_path, finished_run
 ):
-    """link keeps the table's size and stays up to date; report, which signs
-    the table, names it and asks for it to go."""
+    """report, which signs the table, names it and a remedy when it runs
+    alone; run-all finds the table's sha256 changed and links again first."""
     ws = tmp_path / "ws"
     shutil.copytree(finished_run["root"], ws)
     path = ws / "work" / "tables" / "dairy__step_by_step.json"
     path.write_bytes(b"X" + path.read_bytes()[1:])
-    refused = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
+    refused = invoke("--config", ws / "config.yaml", "report", "--food", "dairy")
     assert refused.exit_code == 2
     (error,) = [line for line in refused.stderr.splitlines() if line.startswith("error:")]
     assert re.fullmatch(rf"error: {re.escape(str(path))}: .+; delete it and rerun link", error)
-    path.unlink()
+    result = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
+    assert result.exit_code == 0, result.output
+    assert "link: up to date" not in result.output
+    assert report_bytes(ws / "work") == report_bytes(finished_run["workdir"])
+
+
+@pytest.mark.parametrize("damage", ["first_byte_x", "middle_bit_flipped"])
+@pytest.mark.parametrize("name", [
+    "hazards__dairy__step_by_step.csv",
+    "hazards__dairy__step_by_step.json",
+    "accuracy__step_by_step.csv",
+    "accuracy__step_by_step.json",
+])
+def test_a_report_edited_to_its_own_size_is_written_again_by_one_run_all(
+    tmp_path, finished_run, name, damage
+):
+    """No later stage reads a report, so only the sha256 its stage recorded
+    tells the edit; run-all writes the report again."""
+    ws = tmp_path / "ws"
+    shutil.copytree(finished_run["root"], ws)
+    path = ws / "work" / "reports" / name
+    before = path.read_bytes()
+    path.write_bytes(_DAMAGES[damage](before))
+    assert path.stat().st_size == len(before) and path.read_bytes() != before
     result = invoke("--config", ws / "config.yaml", "run-all", "--food", "dairy")
     assert result.exit_code == 0, result.output
     assert report_bytes(ws / "work") == report_bytes(finished_run["workdir"])
